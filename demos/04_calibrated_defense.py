@@ -34,12 +34,12 @@ print(f"K=5: epoch {res.best_epoch}, threshold {res.threshold:.4f}, "
       f"for {res.tnir_at_threshold:.1%} clean traffic flagged")
 
 bundle = pipeline.bundle_from_calibration(series, res, det, part)
-sc = encoders.dataset_scores(bundle.pair, part, test)
+sc = encoders.batch_scores(bundle.pair, part, test.matrix())
 is_mal = np.array([s.label == data.MALICIOUS for s in test.samples])
 pam_test = pseudo.generate(test.by_label(data.MALICIOUS), det, part, budget=100,
                            flip_limit=20, seed=4)
 pam_ds = data.Dataset(test.space, tuple(pseudo.to_dataset(pam_test, test.by_label(data.MALICIOUS))))
-sc_pam = encoders.dataset_scores(bundle.pair, part, pam_ds)
+sc_pam = encoders.batch_scores(bundle.pair, part, pam_ds.matrix())
 print(f"mean score on held-out: benign {sc[~is_mal].mean():.3f} "
       f"< malicious {sc[is_mal].mean():.3f} < evasions {sc_pam.mean():.3f}")
 

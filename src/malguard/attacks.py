@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from malguard import calibration, encoders, pipeline, pseudo, storage
-from malguard.data import FORMAT_HEADER, MALICIOUS, Dataset, FeatureVector, FormatError, Sample
+from malguard.data import (
+    FORMAT_HEADER, MALICIOUS, Dataset, FeatureVector, FormatError, Sample, vectors_matrix,
+)
 from malguard.problem_space import Perturbation
 from malguard.quantify import SpacePartition
 
@@ -185,12 +187,10 @@ def adaptive_attack_2(
     eligible = has_applicable(x_m.vector, perturbations)
     if not evading:
         return AttackTrace(x_m.id, False, total_queries, x_m.vector, (), eligible)
-    scored = [
-        (encoders.incompatibility_score(bundle.pair, bundle.partition, t.final_vector), t)
-        for t in evading
-    ]
-    best_score, best = min(scored, key=lambda pair: pair[0])
-    success = best_score <= bundle.threshold
+    scores = _final_scores(evading, bundle)
+    best_pos = int(np.argmin(scores))
+    best = evading[best_pos]
+    success = not bundle.flags(scores[best_pos])
     return AttackTrace(
         x_m.id, success, total_queries, best.final_vector, best.applied, eligible
     )
@@ -241,12 +241,14 @@ def offline_defense_rates(traces: list[AttackTrace], bundle) -> tuple[float, flo
         raise ValueError("no eligible attack traces; every sample lacked a perturbation")
     succ = [t for t in eligible if t.success]
     asr_before = len(succ) / len(eligible)
-    surviving = 0
-    for t in succ:
-        score = encoders.incompatibility_score(bundle.pair, bundle.partition, t.final_vector)
-        if score <= bundle.threshold:
-            surviving += 1
+    surviving = int(np.count_nonzero(~bundle.flags(_final_scores(succ, bundle))))
     return asr_before, surviving / len(eligible)
+
+
+def _final_scores(traces: list[AttackTrace], bundle) -> np.ndarray:
+    """Incompatibility scores of the traces' final vectors, in one batch."""
+    x = vectors_matrix([t.final_vector for t in traces], bundle.partition.dim)
+    return encoders.batch_scores(bundle.pair, bundle.partition, x)
 
 
 def detector_rescore_rates(traces: list[AttackTrace], detector) -> tuple[float, float]:
@@ -288,7 +290,7 @@ class EvalRow:
     fnir: float
     asr_before: float
     asr_after: float
-    ndasr: float
+    ndasr: float | None  # None when no attack succeeded before the defense
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ def evaluate_defense(
                 fnir=result.fnir_at_threshold,
                 asr_before=asr_before,
                 asr_after=asr_after,
-                ndasr=ndasr(asr_before, asr_after),
+                ndasr=ndasr(asr_before, asr_after) if asr_before > 0.0 else None,
             )
         )
     return EvalReport(tuple(rows))

@@ -126,9 +126,8 @@ def calibrate(
     best: EpochCalibration | None = None
     for epoch in range(len(series)):
         pair = series[epoch]
-        t_n = percentile_threshold(
-            encoders.batch_scores(pair, partition, x_tn), control_rate, method
-        )
+        scores = encoders.batch_scores(pair, partition, x_tn)
+        t_n = percentile_threshold(scores, control_rate, method)
         if x_fn is not None:
             f_n = fnir(encoders.batch_scores(pair, partition, x_fn), t_n)
         else:
@@ -136,8 +135,7 @@ def calibrate(
         row = EpochCalibration(epoch, t_n, f_n)
         table.append(row)
         if best is None or row.fnir > best.fnir:
-            best = row
-    tn_scores = encoders.batch_scores(series[best.epoch], partition, x_tn)
+            best, tn_scores = row, scores
     return CalibrationResult(
         threshold=best.threshold,
         best_epoch=best.epoch,

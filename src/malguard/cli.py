@@ -123,7 +123,27 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_manifest(run: Path) -> dict:
+class RunDir:
+    """A run directory, with the digests of the files one verb has hashed.
+
+    A verb only reads its inputs, so the digest taken when artifact()
+    resolves an input is the one the verb's stage records.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._digests: dict[str, str] = {}
+
+    def __truediv__(self, name: str) -> Path:
+        return self.path / name
+
+    def digest(self, name: str) -> str:
+        if name not in self._digests:
+            self._digests[name] = storage.file_sha256(self.path / name)
+        return self._digests[name]
+
+
+def _load_manifest(run: RunDir) -> dict:
     path = run / MANIFEST_FILE
     if not path.exists():
         return {"format": _MANIFEST_FORMAT, "stages": {}}
@@ -133,18 +153,18 @@ def _load_manifest(run: Path) -> dict:
     return manifest
 
 
-def _record_stage(run: Path, stage: str, params: dict, inputs: list[str],
+def _record_stage(run: RunDir, stage: str, params: dict, inputs: list[str],
                   outputs: list[str]) -> None:
     manifest = _load_manifest(run)
     manifest["stages"][stage] = {
         "params": params,
-        "inputs": {name: storage.file_sha256(run / name) for name in inputs},
+        "inputs": {name: run.digest(name) for name in inputs},
         "outputs": {name: storage.file_sha256(run / name) for name in outputs},
     }
     _dump_json(manifest, run / MANIFEST_FILE)
 
 
-def artifact(run: Path, name: str) -> Path:
+def artifact(run: RunDir, name: str) -> Path:
     """Resolve a stage output, checking it still matches its recorded digest."""
     path = run / name
     if not path.exists():
@@ -152,7 +172,7 @@ def artifact(run: Path, name: str) -> Path:
     manifest = _load_manifest(run)
     for stage, entry in manifest["stages"].items():
         recorded = entry["outputs"].get(name)
-        if recorded is not None and recorded != storage.file_sha256(path):
+        if recorded is not None and recorded != run.digest(name):
             raise StageError(
                 f"artifact {name!r} no longer matches the digest recorded by"
                 f" stage {stage!r}; re-run that stage"
@@ -160,23 +180,23 @@ def artifact(run: Path, name: str) -> Path:
     return path
 
 
-def _prepare_run(args) -> tuple[Path, dict]:
-    run = Path(args.run_dir)
-    run.mkdir(parents=True, exist_ok=True)
+def _prepare_run(args) -> tuple[RunDir, dict]:
+    run = RunDir(args.run_dir)
+    run.path.mkdir(parents=True, exist_ok=True)
     cfg = resolve_config(args.config, args.seed)
     _dump_json(cfg, run / CONFIG_FILE)
     return run, cfg
 
 
-def _load_space(run: Path) -> data.FeatureSpace:
+def _load_space(run: RunDir) -> data.FeatureSpace:
     return data.load_feature_space(artifact(run, SPACE_FILE))
 
 
-def _load_split(run: Path, name: str, space) -> data.Dataset:
+def _load_split(run: RunDir, name: str, space) -> data.Dataset:
     return data.read_dataset(artifact(run, name), space)
 
 
-def _load_detector(run: Path):
+def _load_detector(run: RunDir):
     model, _ = detectors.load_model(artifact(run, DETECTOR_FILE))
     return model
 
@@ -348,7 +368,7 @@ def cmd_train_encoders(args) -> int:
     return 0
 
 
-def _calibrate(run: Path, cfg: dict, control_rate: float | None):
+def _calibrate(run: RunDir, cfg: dict, control_rate: float | None):
     space = _load_space(run)
     calib = _load_split(run, CALIB_FILE, space)
     detector = _load_detector(run)
@@ -489,8 +509,8 @@ def cmd_defend(args) -> int:
     detector = _load_detector(run)
     bundle = pipeline.load_bundle(artifact(run, BUNDLE_FILE))
     lines = []
-    for s in vectors.samples:
-        label, audit = pipeline.detect(bundle, detector, s.vector)
+    for s, audit in zip(vectors.samples, pipeline.defended_run(bundle, detector, vectors)):
+        label = audit.final_label
         score = "-" if audit.score is None else f"{audit.score:.6f}"
         revisited = "yes" if audit.revisited else "no"
         print(f"{s.id} {label} score={score} revisited={revisited}")
@@ -508,7 +528,7 @@ def cmd_defend(args) -> int:
     return 0
 
 
-def _evaluation(run: Path, cfg: dict, k_list) -> dict:
+def _evaluation(run: RunDir, cfg: dict, k_list) -> dict:
     space = _load_space(run)
     calib = _load_split(run, CALIB_FILE, space)
     detector = _load_detector(run)
@@ -542,11 +562,12 @@ def _format_evaluation(ev: dict) -> str:
                  f"{'fnir':>7}  {'asr_pre':>8}  {'asr_post':>8}  {'ndasr':>7}"
         lines.append(header)
         for row in ev["attacks"][mode]:
+            nd = "-" if row["ndasr"] is None else f"{row['ndasr']:.4f}"
             lines.append(
                 f"{row['control_rate']:>6.1f}  {row['threshold']:>10.6f}  "
                 f"{row['best_epoch']:>5d}  {row['tnir']:>7.4f}  {row['fnir']:>7.4f}  "
                 f"{row['asr_before']:>8.4f}  {row['asr_after']:>8.4f}  "
-                f"{row['ndasr']:>7.4f}"
+                f"{nd:>7}"
             )
         lines.append("")
     return "\n".join(lines)

@@ -144,16 +144,7 @@ class Dataset:
         """Samples as a CSR matrix of 0/1 values, cached after first build."""
         cached = getattr(self, "_matrix", None)
         if cached is None:
-            indptr = np.zeros(len(self.samples) + 1, dtype=np.int64)
-            cols = []
-            for i, s in enumerate(self.samples):
-                cols.append(s.vector.as_array())
-                indptr[i + 1] = indptr[i] + len(s.vector)
-            indices = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-            data = np.ones(len(indices), dtype=np.float64)
-            cached = sparse.csr_matrix(
-                (data, indices, indptr), shape=(len(self.samples), self.space.dim)
-            )
+            cached = vectors_matrix([s.vector for s in self.samples], self.space.dim)
             self._matrix = cached
         return cached
 
@@ -171,6 +162,18 @@ class Dataset:
     def fingerprint(self) -> str:
         """Digest of the canonical serialization; identifies dataset content."""
         return storage.sha256_hex(_serialize_dataset(self).encode("utf-8"))
+
+
+def vectors_matrix(vectors, dim: int) -> sparse.csr_matrix:
+    """Feature vectors as the rows of a CSR matrix of 0/1 values."""
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(v) for v in vectors], dtype=np.int64)
+    indices = np.fromiter(
+        (i for v in vectors for i in v.indices), dtype=np.int64, count=int(indptr[-1])
+    )
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(vectors), dim)
+    )
 
 
 def save_feature_space(space: FeatureSpace, path) -> None:

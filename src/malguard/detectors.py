@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse, stats
 
 from malguard import nnet, storage
-from malguard.data import MALICIOUS, Dataset, FeatureSpace, FeatureVector
+from malguard.data import MALICIOUS, Dataset, FeatureSpace, FeatureVector, vectors_matrix
 
 
 @dataclass
@@ -36,8 +36,10 @@ class LinearModel:
         return np.asarray(x @ self.weights).ravel() + self.bias
 
     def score_vector(self, vector: FeatureVector) -> float:
-        idx = vector.as_array()
-        return float(self.weights[idx].sum() + self.bias)
+        # Summed in index order, as the CSR product in decision_scores does,
+        # so the one-vector score equals the batch score bit for bit.
+        picked = self.weights[vector.as_array()]
+        return float((np.cumsum(picked)[-1] if picked.size else 0.0) + self.bias)
 
     def is_malicious(self, vector: FeatureVector) -> bool:
         return self.score_vector(vector) > self.decision_threshold
@@ -56,15 +58,11 @@ class MlpModel:
         return 0.5
 
     def decision_scores(self, x: sparse.spmatrix) -> np.ndarray:
-        dense = np.asarray(x.todense(), dtype=np.float64)
-        logits, _ = nnet.forward(self.net, dense)
+        logits = nnet.infer(self.net, x)
         return 1.0 / (1.0 + np.exp(-logits.ravel()))
 
     def score_vector(self, vector: FeatureVector) -> float:
-        row = np.zeros((1, self.input_dim))
-        row[0, vector.as_array()] = 1.0
-        logit, _ = nnet.forward(self.net, row)
-        return float(1.0 / (1.0 + np.exp(-logit[0, 0])))
+        return float(self.decision_scores(vectors_matrix([vector], self.input_dim))[0])
 
     def is_malicious(self, vector: FeatureVector) -> bool:
         return self.score_vector(vector) > self.decision_threshold
@@ -117,12 +115,6 @@ def train_linear(
             w -= step * grad_w
             b -= step * grad_b
     return LinearModel(w, float(b))
-
-
-def hinge_loss(model: LinearModel, dataset: Dataset, l2: float = 1e-4) -> float:
-    y = _signed_labels(dataset)
-    margins = y * model.decision_scores(dataset.matrix())
-    return float(np.maximum(1.0 - margins, 0.0).mean() + l2 * (model.weights @ model.weights))
 
 
 def train_mlp(

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from malguard import nnet, storage
-from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureVector
+from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureVector, vectors_matrix
 from malguard.pseudo import PseudoAdvSample
 from malguard.quantify import SpacePartition
 
@@ -102,33 +102,26 @@ def _restrict(x: sparse.spmatrix, cols: np.ndarray) -> np.ndarray:
 
 
 def batch_scores(pair: EncoderPair, partition: SpacePartition, x: sparse.spmatrix) -> np.ndarray:
-    """Incompatibility scores for a CSR batch; inference mode, no dropout."""
+    """Incompatibility scores for a CSR batch of 0/1 rows; inference mode, no dropout.
+
+    The one score implementation. Each row's score is bit-identical however
+    the batch around it is composed (see :func:`nnet.infer`), and the
+    distance is a row-wise reduction for the same reason.
+    """
     if x.shape[1] != partition.dim:
         raise ValueError(f"matrix dim {x.shape[1]} != partition dim {partition.dim}")
-    out = np.empty(x.shape[0])
-    ps, ips = partition.ps_array(), partition.ips_array()
-    chunk = 4096
-    for lo in range(0, x.shape[0], chunk):
-        rows = x[lo : lo + chunk]
-        u, _ = nnet.forward(pair.eps, _restrict(rows, ps))
-        v, _ = nnet.forward(pair.eips, _restrict(rows, ips))
-        out[lo : lo + chunk] = np.linalg.norm(u - v, axis=1)
-    return out
-
-
-def dataset_scores(pair: EncoderPair, partition: SpacePartition, dataset: Dataset) -> np.ndarray:
-    return batch_scores(pair, partition, dataset.matrix())
+    ps_part, ips_part = partition.split(x)
+    u = nnet.infer(pair.eps, ps_part)
+    v = nnet.infer(pair.eips, ips_part)
+    d = u - v
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 def incompatibility_score(
     pair: EncoderPair, partition: SpacePartition, vector: FeatureVector
 ) -> float:
     """Euclidean distance between the PS and IPS embeddings of one vector."""
-    row = np.zeros((1, partition.dim))
-    row[0, vector.as_array()] = 1.0
-    u, _ = nnet.forward(pair.eps, row[:, partition.ps_array()])
-    v, _ = nnet.forward(pair.eips, row[:, partition.ips_array()])
-    return float(np.linalg.norm(u[0] - v[0]))
+    return float(batch_scores(pair, partition, vectors_matrix([vector], partition.dim))[0])
 
 
 # ---------------------------------------------------------------- losses
@@ -139,11 +132,6 @@ def loss_benign(scores) -> float:
     if arr.size == 0:
         raise ValueError("empty benign score batch")
     return float(arr.mean())
-
-def loss_rank(d_low: float, d_high: float, margin: float) -> float:
-    """Hinge penalizing d_low not sitting at least margin below d_high."""
-    return float(max(d_low - d_high + margin, 0.0))
-
 
 def total_loss(l1: float, l2: float, l3: float, lambdas=(1.0, 1.0, 1.0)) -> float:
     return float(lambdas[0] * l1 + lambdas[1] * l2 + lambdas[2] * l3)
@@ -227,18 +215,6 @@ def batch_loss(
 
 # ---------------------------------------------------------------- training
 
-def _pseudo_matrix(pseudo: list[PseudoAdvSample], dim: int) -> sparse.csr_matrix:
-    indptr = np.zeros(len(pseudo) + 1, dtype=np.int64)
-    cols = []
-    for i, p in enumerate(pseudo):
-        cols.append(p.vector.as_array())
-        indptr[i + 1] = indptr[i] + len(p.vector)
-    indices = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    return sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(pseudo), dim)
-    )
-
-
 def build_batch(
     dataset: Dataset,
     pseudo: list[PseudoAdvSample],
@@ -266,7 +242,7 @@ def build_batch(
     pm_sources = [sources[i] for i in picked]
     pm_idx = [by_source[s][rng.integers(len(by_source[s]))] for s in pm_sources]
     pm_mal = [mal_by_id[s] for s in pm_sources]
-    px = _pseudo_matrix([pseudo[i] for i in pm_idx], partition.dim)
+    px = vectors_matrix([pseudo[i].vector for i in pm_idx], partition.dim)
     ps_inputs = np.vstack(
         [_restrict(x[bi], ps), _restrict(x[mi], ps), _restrict(px, ps), _restrict(x[pm_mal], ps)]
     )
@@ -335,39 +311,6 @@ class CheckpointSeries:
 
 
 _SERIES_FORMAT = "malguard-encoder-series-v1"
-_PAIR_FORMAT = "malguard-encoder-pair-v1"
-
-
-def save_pair(pair: EncoderPair, path, partition_digest: str) -> None:
-    meta = {
-        "format": _PAIR_FORMAT,
-        "embed_dim": pair.embed_dim,
-        "dropout_rate": pair.dropout_rate,
-        "eps_dims": list(pair.eps.dims),
-        "eips_dims": list(pair.eips.dims),
-        "partition_digest": partition_digest,
-    }
-    arrays = {}
-    for name, net in (("eps", pair.eps), ("eips", pair.eips)):
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{name}_w{i}"] = w
-            arrays[f"{name}_b{i}"] = b
-    storage.save_container(path, meta, arrays)
-
-
-def load_pair(path) -> tuple[EncoderPair, str]:
-    meta, arrays = storage.load_container(path)
-    storage.expect_format(meta, _PAIR_FORMAT, path)
-    nets = {}
-    for name in ("eps", "eips"):
-        dims = [int(d) for d in meta[f"{name}_dims"]]
-        ws = [arrays[f"{name}_w{i}"] for i in range(len(dims) - 1)]
-        bs = [arrays[f"{name}_b{i}"] for i in range(len(dims) - 1)]
-        nets[name] = nnet.Mlp(dims, ws, bs)
-    pair = EncoderPair(
-        nets["eps"], nets["eips"], int(meta["embed_dim"]), float(meta["dropout_rate"])
-    )
-    return pair, meta["partition_digest"]
 
 
 def pair_digest(pair: EncoderPair) -> str:
@@ -407,7 +350,7 @@ def train(
     source_rows = np.asarray([mal_by_id[s] for s in sources], dtype=np.int64)
 
     x = train_set.matrix()
-    px = _pseudo_matrix(pseudo, partition.dim)
+    px = vectors_matrix([p.vector for p in pseudo], partition.dim)
     ps, ips = partition.ps_array(), partition.ips_array()
 
     root = np.random.SeedSequence(cfg.seed)

@@ -4,6 +4,9 @@ Shared by the MLP detector and the contrastive encoders. Hidden layers use
 ReLU; the final layer is linear (callers apply sigmoid or distance losses on
 top). Inverted dropout can be applied to hidden activations during training.
 All math is float64 so gradient checks and bit-exact round-trips hold.
+
+Inference over sparse 0/1 inputs goes through :func:`infer`, whose output
+for a row depends on that row alone, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+
+# Rows per block in the dense layers of infer(). BLAS sees this one shape for
+# every batch, a one-row call included; larger blocks slow one-row calls.
+INFER_BLOCK = 8
 
 
 @dataclass
@@ -67,6 +75,30 @@ def forward(
             cache.append((a, z, mask))
             a = h
     return a, cache
+
+
+def infer(mlp: Mlp, x: sparse.spmatrix) -> np.ndarray:
+    """Inference output for a sparse batch of 0/1 rows, batch-invariant.
+
+    Layer 0 is the scipy CSR product, which adds each row's weight rows one
+    by one in index order. The later layers run through :func:`forward` in
+    zero-padded blocks of INFER_BLOCK rows. Either way a row's output is
+    bit-identical whether it is scored alone or in any batch.
+    """
+    h = x.tocsr() @ mlp.weights[0]
+    h += mlp.biases[0]
+    if len(mlp.weights) == 1:
+        return h
+    np.maximum(h, 0.0, out=h)
+    tail = Mlp(mlp.dims[1:], mlp.weights[1:], mlp.biases[1:])
+    out = np.empty((len(h), mlp.dims[-1]))
+    for lo in range(0, len(h), INFER_BLOCK):
+        block = h[lo : lo + INFER_BLOCK]
+        rows = len(block)
+        if rows < INFER_BLOCK:
+            block = np.vstack([block, np.zeros((INFER_BLOCK - rows, h.shape[1]))])
+        out[lo : lo + rows] = forward(tail, block)[0][:rows]
+    return out
 
 
 def backward(mlp: Mlp, cache, grad_out: np.ndarray):

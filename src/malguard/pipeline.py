@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from malguard import calibration, detectors, encoders, pseudo, quantify, storage
 from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureVector
 from malguard.quantify import SpacePartition
@@ -57,6 +55,10 @@ class DefenseBundle:
     @property
     def partition_digest(self) -> str:
         return self.partition.digest()
+
+    def flags(self, score):
+        """The one-way rule: a revisited score flags when strictly above the threshold."""
+        return score > self.threshold
 
 
 @dataclass(frozen=True)
@@ -148,74 +150,44 @@ def _config_dict(cfg: DefenseConfig) -> dict:
     return doc
 
 
+def _check_detector(bundle: DefenseBundle, detector) -> None:
+    if detectors.model_digest(detector) != bundle.detector_id:
+        raise ValueError("detector does not match the one this bundle was built against")
+
+
 def detect(bundle: DefenseBundle, detector, vector: FeatureVector) -> tuple[str, AuditRecord]:
     """Classify one vector; only detector-benign vectors are revisited."""
-    if detectors.model_digest(detector) != bundle.detector_id:
-        raise ValueError(
-            "detector does not match the one this bundle was built against;"
-            " use detect_transfer for cross-detector operation"
-        )
-    return _detect_with(bundle, detector, vector)
-
-
-def detect_transfer(
-    bundle: DefenseBundle,
-    detector,
-    vector: FeatureVector,
-    projection: np.ndarray | None = None,
-) -> tuple[str, AuditRecord]:
-    """Revisit another detector's benign verdicts with this bundle's scorer.
-
-    The foreign detector supplies the first-stage label. Without a
-    projection, both detectors must share the bundle's feature space; with
-    one, *projection* lists the bundle-space index of each foreign feature.
-    """
-    if projection is None:
-        return _detect_with(bundle, detector, vector)
-    mapped = FeatureVector.make(
-        (int(projection[i]) for i in vector.indices), bundle.partition.dim
-    )
-    if detector.is_malicious(vector):
-        return MALICIOUS, AuditRecord(MALICIOUS, MALICIOUS, False, None)
-    return _revisit(bundle, mapped)
-
-
-def _detect_with(bundle, detector, vector):
+    _check_detector(bundle, detector)
     if vector.indices and vector.indices[-1] >= bundle.partition.dim:
         raise ValueError(
             f"vector index {vector.indices[-1]} out of range for dim {bundle.partition.dim}"
         )
     if detector.is_malicious(vector):
         return MALICIOUS, AuditRecord(MALICIOUS, MALICIOUS, False, None)
-    return _revisit(bundle, vector)
-
-
-def _revisit(bundle, vector):
     score = encoders.incompatibility_score(bundle.pair, bundle.partition, vector)
-    final = MALICIOUS if score > bundle.threshold else BENIGN
+    final = MALICIOUS if bundle.flags(score) else BENIGN
     return final, AuditRecord(BENIGN, final, True, score)
 
 
 def defended_run(bundle: DefenseBundle, detector, dataset: Dataset) -> list[AuditRecord]:
     """Run detection over a dataset, returning one audit record per sample.
 
-    Batched equivalent of calling :func:`detect` per sample; scores are
-    computed only for detector-benign rows, exactly like the per-vector path.
+    The batched form of :func:`detect`: every record, score included, is
+    equal (``==``) to what :func:`detect` returns for that sample alone. Both
+    paths take the detector score and the incompatibility score from the
+    same batch-invariant kernels, and only detector-benign rows are scored.
     """
-    if detectors.model_digest(detector) != bundle.detector_id:
-        raise ValueError("detector does not match the one this bundle was built against")
+    _check_detector(bundle, detector)
     x = dataset.matrix()
     pred_mal = detector.decision_scores(x) > detector.decision_threshold
-    benign_rows = np.nonzero(~pred_mal)[0]
-    scores = encoders.batch_scores(bundle.pair, bundle.partition, x[benign_rows])
-    score_by_row = dict(zip(benign_rows.tolist(), scores))
+    scores = iter(encoders.batch_scores(bundle.pair, bundle.partition, x[~pred_mal]).tolist())
     records = []
-    for i in range(len(dataset)):
-        if pred_mal[i]:
+    for malicious in pred_mal:
+        if malicious:
             records.append(AuditRecord(MALICIOUS, MALICIOUS, False, None))
         else:
-            s = float(score_by_row[i])
-            final = MALICIOUS if s > bundle.threshold else BENIGN
+            s = next(scores)
+            final = MALICIOUS if bundle.flags(s) else BENIGN
             records.append(AuditRecord(BENIGN, final, True, s))
     return records
 

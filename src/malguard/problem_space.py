@@ -80,11 +80,6 @@ def apply(app: AppModel, perturbation: Perturbation) -> AppModel:
     return AppModel(app.base, app.dim, app.applied + (perturbation,))
 
 
-def extract(app: AppModel) -> FeatureVector:
-    """The app's current feature vector (base plus all applied additions)."""
-    return FeatureVector.make(app.effective(), app.dim)
-
-
 def builtin_quantification_apps(dim: int, main_activity: int) -> list[AppModel]:
     """The two built-in probe apps used for space quantification.
 

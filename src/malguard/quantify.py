@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from malguard import problem_space, storage
 from malguard.data import FORMAT_HEADER, FeatureSpace, FormatError
@@ -54,6 +56,33 @@ class SpacePartition:
 
     def ips_array(self) -> np.ndarray:
         return np.asarray(self.ips, dtype=np.int64)
+
+    def split(self, x: sparse.spmatrix) -> tuple[sparse.csr_array, sparse.csr_array]:
+        """The PS columns and the IPS columns of a CSR matrix, in that order.
+
+        Each row keeps its entries in their order, so a row's part of either
+        half does not depend on the other rows. Same result as scipy column
+        indexing in about half its time on the one-row matrices of per-vector
+        scoring.
+        """
+        x = x.tocsr()
+        in_ps, position = self._column_map
+        side = in_ps[x.indices]
+        halves = []
+        for keep, width in ((side, len(self.ps)), (~side, len(self.ips))):
+            ends = np.concatenate(([0], np.cumsum(keep)))
+            halves.append(sparse.csr_array(
+                (x.data[keep], position[x.indices[keep]], ends[x.indptr]),
+                shape=(x.shape[0], width),
+            ))
+        return halves[0], halves[1]
+
+    @cached_property
+    def _column_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per feature: whether it is perturbable, and its column in its half."""
+        in_ps = np.zeros(self.dim, dtype=bool)
+        in_ps[self.ps_array()] = True
+        return in_ps, np.where(in_ps, np.cumsum(in_ps), np.cumsum(~in_ps)) - 1
 
     def digest(self) -> str:
         canonical = f"dim={self.dim};ps={','.join(map(str, self.ps))}"

@@ -1,4 +1,6 @@
 """Query-budgeted evasion, trace replay, defense scoring of stored attacks."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -269,8 +271,8 @@ def test_adaptive_attack_2_fails_when_defense_catches_all():
     assert not trace.success
 
 
-@pytest.mark.filterwarnings("ignore:no false negatives")
-def test_evaluate_defense_rows(tmp_path):
+def toy_evaluation_world():
+    """Traces, series, calibration set, detector and partition of a toy run."""
     det = toy_detector()
     part = toy_partition()
     dim = 8
@@ -301,6 +303,12 @@ def test_evaluate_defense_rows(tmp_path):
     traces = attacks.attack_suite(
         mal_rows[:20], attacks.detector_oracle(det), toy_perts(), part, AttackConfig(seed=1)
     )
+    return traces, series, calib_ds, det, part
+
+
+@pytest.mark.filterwarnings("ignore:no false negatives")
+def test_evaluate_defense_rows(tmp_path):
+    traces, series, calib_ds, det, part = toy_evaluation_world()
     report = attacks.evaluate_defense(
         traces, series, calib_ds, det, part, control_rates=(10.0, 5.0), method="nearest_rank"
     )
@@ -310,3 +318,12 @@ def test_evaluate_defense_rows(tmp_path):
         assert row.asr_after <= row.asr_before
         doc = report.to_dict()
         assert len(doc["rows"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:no false negatives")
+def test_evaluate_defense_all_failed_traces_have_undefined_ndasr():
+    traces, series, calib_ds, det, part = toy_evaluation_world()
+    failed = [replace(t, success=False) for t in traces]
+    report = attacks.evaluate_defense(failed, series, calib_ds, det, part, (10.0, 5.0))
+    assert [(r.asr_before, r.asr_after, r.ndasr) for r in report.rows] == [(0.0, 0.0, None)] * 2
+    assert report.to_dict()["rows"][0]["ndasr"] is None

@@ -1,9 +1,11 @@
 """Run-directory workflow: every verb, manifest bookkeeping, reproducibility."""
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
-from malguard import cli
+from malguard import attacks, cli, data, detectors, pipeline, storage
 
 
 TINY = {
@@ -157,6 +159,18 @@ def test_defend_prints_verdict_lines(run_dir, capsys):
     results = (run / cli.DEFEND_RESULTS_FILE).read_text().splitlines()
     assert results[0] == "#addfmt v1"
     assert len(results) - 1 == len(out)
+    # the verb serves in batch; every row equals the per-vector path exactly
+    space = data.load_feature_space(run / cli.SPACE_FILE)
+    test = data.read_dataset(run / cli.TEST_FILE, space)
+    detector, _ = detectors.load_model(run / cli.DETECTOR_FILE)
+    bundle = pipeline.load_bundle(run / cli.BUNDLE_FILE)
+    for s, line, printed in zip(test.samples, results[1:], out):
+        label, audit = pipeline.detect(bundle, detector, s.vector)
+        assert json.loads(line) == {"id": s.id, "label": label, "score": audit.score,
+                                    "revisited": audit.revisited}
+        score = "-" if audit.score is None else f"{audit.score:.6f}"
+        assert printed == (f"{s.id} {label} score={score}"
+                           f" revisited={'yes' if audit.revisited else 'no'}")
 
 
 def test_evaluate_emits_rows_per_attack_and_k(run_dir):
@@ -170,6 +184,51 @@ def test_evaluate_emits_rows_per_attack_and_k(run_dir):
             assert 0.0 <= r["ndasr"] <= 1.0 or r["asr_before"] == 0.0
     txt = (run / cli.EVALUATION_TXT).read_text()
     assert "ndasr" in txt and "greedy" in txt
+
+
+def test_evaluate_all_failed_attack_reports_undefined_ndasr(run_dir, tmp_path, capsys):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    space = data.load_feature_space(copy / cli.SPACE_FILE)
+    name = "traces-adaptive1.jsonl"
+    failed = [replace(t, success=False)
+              for t in attacks.load_traces(copy / name, space.dim)]
+    attacks.save_traces(failed, copy / name)
+    manifest = json.loads((copy / cli.MANIFEST_FILE).read_text())
+    manifest["stages"]["attack-adaptive1"]["outputs"][name] = storage.file_sha256(copy / name)
+    (copy / cli.MANIFEST_FILE).write_text(json.dumps(manifest))
+    for verb in ("evaluate", "report"):
+        code = cli.main([verb, "--run-dir", str(copy), "--config", str(config)])
+        assert code == 0, capsys.readouterr().err
+    ev = json.loads((copy / cli.EVALUATION_JSON).read_text())
+    assert all(r["asr_before"] == 0.0 and r["ndasr"] is None
+               for r in ev["attacks"]["adaptive1"])
+    assert all(r["ndasr"] is not None for r in ev["attacks"]["greedy"])
+    table = (copy / cli.EVALUATION_TXT).read_text().split("attack: adaptive1\n")[1]
+    rows = table.split("\n\n")[0].splitlines()[1:]
+    assert rows and all(row.split()[-1] == "-" for row in rows)
+
+
+def test_verb_hashes_each_file_once_and_still_checks_inputs(run_dir, tmp_path, monkeypatch,
+                                                           capsys):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    hashed = []
+    real = storage.file_sha256
+    monkeypatch.setattr(storage, "file_sha256", lambda path: hashed.append(path.name) or real(path))
+    argv = ["calibrate", "--run-dir", str(copy), "--config", str(config)]
+    assert cli.main(argv) == 0
+    assert sorted(hashed) == sorted(set(hashed))
+    assert cli.ENCODERS_FILE in hashed and cli.CALIBRATION_FILE in hashed
+    recorded = json.loads((copy / cli.MANIFEST_FILE).read_text())["stages"]["calibrate"]
+    for name, digest in {**recorded["inputs"], **recorded["outputs"]}.items():
+        assert digest == real(copy / name)
+    with open(copy / cli.PARTITION_FILE, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert cli.main(argv) == 1
+    assert "no longer matches the digest" in capsys.readouterr().err
 
 
 def test_report_recomputes_bit_identical(run_dir, capsys):

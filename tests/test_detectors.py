@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
-from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample
-from malguard import detectors
+from malguard.data import (
+    BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample, vectors_matrix,
+)
+from malguard import detectors, nnet
 
 
 def planted_dataset(n=400, dim=30, sep_bits=4, noise=0.05, seed=0):
@@ -65,11 +67,35 @@ def test_score_vector_matches_matrix_path():
         assert model.score_vector(s.vector) == pytest.approx(float(want))
 
 
-def test_hinge_loss_below_initial():
-    ds = planted_dataset(seed=4)
-    trained = detectors.train_linear(ds, seed=0)
-    untrained = detectors.LinearModel(np.zeros(ds.space.dim), 0.0)
-    assert detectors.hinge_loss(trained, ds) < detectors.hinge_loss(untrained, ds)
+def test_linear_score_vector_equals_batch_score_bitwise():
+    # Random weights and vectors of up to 120 active features: a sum taken
+    # in any other order than the CSR product's differs in the last bits.
+    rng = np.random.default_rng(3)
+    dim = 500
+    model = detectors.LinearModel(rng.normal(size=dim), 0.25)
+    vectors = [
+        FeatureVector.make(rng.choice(dim, size=rng.integers(0, 120), replace=False), dim)
+        for _ in range(200)
+    ]
+    batch = model.decision_scores(vectors_matrix(vectors, dim))
+    assert [model.score_vector(v) for v in vectors] == batch.tolist()
+
+
+def test_mlp_scores_are_batch_invariant():
+    rng = np.random.default_rng(5)
+    dim = 300
+    model = detectors.MlpModel(nnet.init_mlp([dim, 200, 200, 1], rng))
+    vectors = [
+        FeatureVector.make(rng.choice(dim, size=rng.integers(0, 50), replace=False), dim)
+        for _ in range(37)
+    ]
+    x = vectors_matrix(vectors, dim)
+    full = model.decision_scores(x)
+    perm = rng.permutation(len(vectors))
+    assert np.array_equal(model.decision_scores(x[perm]), full[perm])
+    rows = np.sort(rng.choice(len(vectors), size=11, replace=False))
+    assert np.array_equal(model.decision_scores(x[rows]), full[rows])
+    assert [model.score_vector(v) for v in vectors] == full.tolist()
 
 
 def test_train_rejects_single_class_data():

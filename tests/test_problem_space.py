@@ -3,7 +3,7 @@ import pytest
 
 from malguard.data import FeatureVector, FormatError
 from malguard import problem_space
-from malguard.problem_space import AppModel, InapplicableError, Perturbation, apply, extract
+from malguard.problem_space import AppModel, InapplicableError, Perturbation, apply
 
 
 def pert(pid="p0", adds=(3,), requires=(), forbids=()):
@@ -57,11 +57,11 @@ def test_apply_rejects_inapplicable():
         apply(app, pert(forbids=(2,)))
 
 
-def test_extract_reflects_applied_stack():
+def test_effective_reflects_applied_stack():
     app = AppModel(FeatureVector.make([1], 8), 8)
     app = apply(app, pert("a", adds=(2,)))
     app = apply(app, pert("b", adds=(5,), requires=(2,)))
-    assert extract(app).as_set() == frozenset({1, 2, 5})
+    assert app.effective() == frozenset({1, 2, 5})
 
 
 def test_builtin_quantification_apps():

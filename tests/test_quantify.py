@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from malguard.data import FeatureSpace, FeatureVector
+from malguard.data import FeatureSpace, FeatureVector, vectors_matrix
 from malguard.problem_space import AppModel, Perturbation
 from malguard import quantify as q
 from malguard.quantify import SpacePartition, quantify
@@ -103,3 +103,17 @@ def test_partition_arrays_dtype():
     part = SpacePartition.from_ps([1], 4)
     assert part.ps_array().dtype == np.int64
     assert part.ips_array().dtype == np.int64
+
+
+def test_split_equals_column_indexing():
+    part = SpacePartition.from_ps([0, 3, 4, 9], 12)
+    rng = np.random.default_rng(1)
+    vectors = [FeatureVector.make(rng.choice(12, size=rng.integers(0, 8), replace=False), 12)
+               for _ in range(9)]
+    x = vectors_matrix(vectors, 12)
+    for half, cols in zip(part.split(x), (part.ps_array(), part.ips_array())):
+        want = x[:, cols]
+        assert half.shape == want.shape
+        assert np.array_equal(half.indptr, want.indptr)
+        assert np.array_equal(half.indices, want.indices)
+        assert np.array_equal(half.toarray(), want.toarray())
