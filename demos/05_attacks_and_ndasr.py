@@ -34,14 +34,17 @@ hits = sum(t.success for t in traces)
 print(f"greedy attacker vs bare detector: {hits}/{len(traces)} evade "
       f"within {acfg.query_budget} queries")
 
-report = attacks.evaluate_defense(traces, series, calib, det, part,
-                                  control_rates=(10.0, 5.0, 1.0))
+# Score every checkpoint once; each TNIR budget is a selection over that table.
+table = calibration.score_table(calib, det, series, part)
+bundles = {k: pipeline.bundle_from_calibration(
+               series, calibration.calibrate_table(table, k), det, part)
+           for k in (10.0, 5.0, 1.0)}
+report = attacks.evaluate_defense(traces, list(bundles.values()))
 for row in report.rows:
     print(f"  K={row.control_rate:>4}: ASR {row.asr_before:.2f} -> {row.asr_after:.2f}, "
           f"NDASR {row.ndasr:.2f} (threshold {row.threshold:.3f}, epoch {row.best_epoch})")
 
-res5 = calibration.calibrate(calib, det, series, part, 5.0)
-bundle = pipeline.bundle_from_calibration(series, res5, det, part)
+bundle = bundles[5.0]
 sub = tps[:50]
 a1 = sum(attacks.adaptive_attack_1(s, bundle, det, perts, part, acfg).success for s in sub)
 a2cfg = attacks.AttackConfig(query_budget=10, variant_count=10, seed=21)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from malguard import calibration, encoders, pipeline, pseudo, storage
+from malguard import encoders, pipeline, pseudo, storage
 from malguard.data import (
     FORMAT_HEADER, MALICIOUS, Dataset, FeatureVector, FormatError, Sample, vectors_matrix,
 )
@@ -303,24 +303,19 @@ class EvalReport:
         return {"rows": [vars(r) | {} for r in self.rows]}
 
 
-def evaluate_defense(
-    traces: list[AttackTrace],
-    series: encoders.CheckpointSeries,
-    calib: Dataset,
-    detector,
-    partition: SpacePartition,
-    control_rates=(10.0, 5.0, 1.0),
-    method: str = "nearest_rank",
-) -> EvalReport:
-    """Calibrate at each control rate and re-score the stored traces."""
+def evaluate_defense(traces: list[AttackTrace], bundles) -> EvalReport:
+    """Re-score the stored traces with the defense calibrated at each budget.
+
+    *bundles* holds one defense bundle per control rate, in row order; each
+    row reports its bundle's calibration.
+    """
     rows = []
-    for k in control_rates:
-        result = calibration.calibrate(calib, detector, series, partition, k, method)
-        bundle = pipeline.bundle_from_calibration(series, result, detector, partition)
+    for bundle in bundles:
+        result = bundle.calibration
         asr_before, asr_after = offline_defense_rates(traces, bundle)
         rows.append(
             EvalRow(
-                control_rate=float(k),
+                control_rate=result.control_rate,
                 threshold=result.threshold,
                 best_epoch=result.best_epoch,
                 tnir=result.tnir_at_threshold,

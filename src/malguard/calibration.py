@@ -12,6 +12,12 @@ threshold.
 TNIR is the fraction of true negatives above the threshold (the controlled
 false-alarm budget); FNIR is the fraction of false negatives above it (the
 recovered misses).
+
+Scoring and selection are separate steps: :func:`score_table` scores every
+checkpoint once over the true and false negatives, and
+:func:`calibrate_table` picks the epoch and threshold for one budget from
+those scores. Every budget, and every attack evaluated at it, shares one
+table.
 """
 
 from __future__ import annotations
@@ -100,15 +106,23 @@ def detector_negative_scores(calib: Dataset, detector) -> tuple[np.ndarray, np.n
     return np.asarray(tn_rows, dtype=np.int64), np.asarray(fn_rows, dtype=np.int64)
 
 
-def calibrate(
-    calib: Dataset,
-    detector,
-    series: encoders.CheckpointSeries,
-    partition,
-    control_rate: float = 5.0,
-    method: str = "nearest_rank",
-) -> CalibrationResult:
-    """Pick the checkpoint and threshold maximizing FNIR at the TNIR budget."""
+@dataclass(frozen=True)
+class ScoreTable:
+    """Per-epoch incompatibility scores of the detector's calibration negatives.
+
+    ``tn[e]`` and ``fn[e]`` hold checkpoint ``e``'s scores of the true and
+    false negatives. Neither depends on the TNIR budget, so one table serves
+    every control rate.
+    """
+
+    tn: tuple[np.ndarray, ...]
+    fn: tuple[np.ndarray, ...]
+
+
+def score_table(
+    calib: Dataset, detector, series: encoders.CheckpointSeries, partition
+) -> ScoreTable:
+    """Score the detector's true and false negatives once per checkpoint."""
     if len(series) == 0:
         raise ValueError("checkpoint series is empty")
     if partition.digest() != series.partition_digest:
@@ -118,29 +132,49 @@ def calibrate(
         raise CalibrationError(
             "no true negatives in the calibration set; cannot set a threshold"
         )
+    if fn_rows.size == 0:
+        warnings.warn("no false negatives in calibration data; FNIR defined as 0")
     x = calib.matrix()
     x_tn = x[tn_rows]
     x_fn = x[fn_rows] if fn_rows.size else None
-
-    table = []
-    best: EpochCalibration | None = None
+    tn, fn = [], []
     for epoch in range(len(series)):
         pair = series[epoch]
-        scores = encoders.batch_scores(pair, partition, x_tn)
-        t_n = percentile_threshold(scores, control_rate, method)
-        if x_fn is not None:
-            f_n = fnir(encoders.batch_scores(pair, partition, x_fn), t_n)
-        else:
-            f_n = fnir(np.empty(0), t_n)
-        row = EpochCalibration(epoch, t_n, f_n)
-        table.append(row)
-        if best is None or row.fnir > best.fnir:
-            best, tn_scores = row, scores
+        tn.append(encoders.batch_scores(pair, partition, x_tn))
+        fn.append(np.empty(0) if x_fn is None else encoders.batch_scores(pair, partition, x_fn))
+    return ScoreTable(tuple(tn), tuple(fn))
+
+
+def calibrate_table(
+    table: ScoreTable, control_rate: float = 5.0, method: str = "nearest_rank"
+) -> CalibrationResult:
+    """Pick the checkpoint and threshold maximizing FNIR at the TNIR budget."""
+    rows = []
+    best = 0
+    for epoch, (tn_scores, fn_scores) in enumerate(zip(table.tn, table.fn)):
+        t_n = percentile_threshold(tn_scores, control_rate, method)
+        # score_table has warned once already when there are no false negatives.
+        f_n = fnir(fn_scores, t_n) if fn_scores.size else 0.0
+        rows.append(EpochCalibration(epoch, t_n, f_n))
+        if f_n > rows[best].fnir:
+            best = epoch
     return CalibrationResult(
-        threshold=best.threshold,
-        best_epoch=best.epoch,
-        tnir_at_threshold=tnir(tn_scores, best.threshold),
-        fnir_at_threshold=best.fnir,
+        threshold=rows[best].threshold,
+        best_epoch=best,
+        tnir_at_threshold=tnir(table.tn[best], rows[best].threshold),
+        fnir_at_threshold=rows[best].fnir,
         control_rate=float(control_rate),
-        table=tuple(table),
+        table=tuple(rows),
     )
+
+
+def calibrate(
+    calib: Dataset,
+    detector,
+    series: encoders.CheckpointSeries,
+    partition,
+    control_rate: float = 5.0,
+    method: str = "nearest_rank",
+) -> CalibrationResult:
+    """Score every checkpoint once and calibrate at one TNIR budget."""
+    return calibrate_table(score_table(calib, detector, series, partition), control_rate, method)

@@ -529,24 +529,31 @@ def cmd_defend(args) -> int:
 
 
 def _evaluation(run: RunDir, cfg: dict, k_list) -> dict:
+    """Evaluate every stored trace set at every budget from one score table."""
     space = _load_space(run)
+    traces = {
+        mode: attacks.load_traces(artifact(run, _traces_file(mode)), space.dim)
+        for mode in ("greedy", "adaptive1", "adaptive2")
+        if (run / _traces_file(mode)).exists()
+    }
+    if not traces:
+        raise StageError("no attack traces found; run the attack stage first")
     calib = _load_split(run, CALIB_FILE, space)
     detector = _load_detector(run)
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
     series = encoders.CheckpointSeries.load(artifact(run, ENCODERS_FILE))
+    table = calibration.score_table(calib, detector, series, partition)
     method = cfg["calibration"]["method"]
-    tables = {}
-    for mode in ("greedy", "adaptive1", "adaptive2"):
-        path = run / _traces_file(mode)
-        if not path.exists():
-            continue
-        traces = attacks.load_traces(artifact(run, _traces_file(mode)), space.dim)
-        report = attacks.evaluate_defense(
-            traces, series, calib, detector, partition, k_list, method
+    bundles = [
+        pipeline.bundle_from_calibration(
+            series, calibration.calibrate_table(table, k, method), detector, partition
         )
-        tables[mode] = report.to_dict()["rows"]
-    if not tables:
-        raise StageError("no attack traces found; run the attack stage first")
+        for k in k_list
+    ]
+    tables = {
+        mode: attacks.evaluate_defense(mode_traces, bundles).to_dict()["rows"]
+        for mode, mode_traces in traces.items()
+    }
     return {"k_list": list(k_list), "attacks": tables}
 
 

@@ -10,6 +10,7 @@ checkpoint files.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,10 +20,27 @@ from malguard import nnet, storage
 from malguard.data import MALICIOUS, Dataset, FeatureSpace, FeatureVector, vectors_matrix
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class LinearModel:
+    """Linear detector; its weights are a read-only copy of those it was given."""
+
     weights: np.ndarray
     bias: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _read_only(self.weights))
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        return storage.sha256_hex(
+            b"linear" + self.weights.tobytes() + np.float64(self.bias).tobytes()
+        )
 
     @property
     def input_dim(self) -> int:
@@ -45,9 +63,27 @@ class LinearModel:
         return self.score_vector(vector) > self.decision_threshold
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MlpModel:
+    """MLP detector; it holds a read-only copy of the network it was given."""
+
     net: nnet.Mlp
+
+    def __post_init__(self):
+        net = nnet.Mlp(
+            tuple(self.net.dims),
+            tuple(_read_only(w) for w in self.net.weights),
+            tuple(_read_only(b) for b in self.net.biases),
+        )
+        object.__setattr__(self, "net", net)
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        parts = [b"mlp" + ",".join(map(str, self.net.dims)).encode()]
+        for w, b in zip(self.net.weights, self.net.biases):
+            parts.append(w.tobytes())
+            parts.append(b.tobytes())
+        return storage.sha256_hex(b"".join(parts))
 
     @property
     def input_dim(self) -> int:
@@ -264,17 +300,10 @@ def load_model(path):
 
 
 def model_digest(model) -> str:
-    """Content digest identifying a trained model's parameters."""
-    parts = []
-    if isinstance(model, LinearModel):
-        parts.append(b"linear")
-        parts.append(model.weights.tobytes())
-        parts.append(np.float64(model.bias).tobytes())
-    elif isinstance(model, MlpModel):
-        parts.append(b"mlp" + ",".join(map(str, model.net.dims)).encode())
-        for w, b in zip(model.net.weights, model.net.biases):
-            parts.append(w.tobytes())
-            parts.append(b.tobytes())
-    else:
+    """Content digest identifying a trained model's parameters.
+
+    Hashed once per model object: a model's parameters cannot change.
+    """
+    if not isinstance(model, (LinearModel, MlpModel)):
         raise TypeError(f"unsupported model type: {type(model)!r}")
-    return storage.sha256_hex(b"".join(parts))
+    return model._digest

@@ -33,7 +33,7 @@ class BuildError(RuntimeError):
 class DefenseConfig:
     pseudo_budget: int = 100
     pseudo_mode: str = "add"
-    pseudo_flip_limit: int | None = None
+    pseudo_flip_limit: int | None = 20
     control_rate: float = 5.0
     percentile_method: str = "nearest_rank"
     encoder: encoders.TrainConfig = field(default_factory=encoders.TrainConfig)
@@ -134,14 +134,7 @@ def build(
         "epoch_losses": series.epoch_losses,
         "calibration_table": [asdict(row) for row in result.table],
     }
-    return DefenseBundle(
-        pair=series[result.best_epoch].copy(),
-        threshold=result.threshold,
-        partition=partition,
-        detector_id=detectors.model_digest(detector),
-        calibration=result,
-        metadata=metadata,
-    )
+    return bundle_from_calibration(series, result, detector, partition, metadata)
 
 
 def _config_dict(cfg: DefenseConfig) -> dict:
@@ -272,11 +265,16 @@ def bundle_from_calibration(
     partition: SpacePartition,
     metadata: dict | None = None,
 ) -> DefenseBundle:
-    """Assemble a bundle from an existing checkpoint series and calibration."""
+    """Assemble a bundle from an existing checkpoint series and calibration.
+
+    The bundle shares the chosen checkpoint's encoder pair with the series
+    instead of copying it, so bundles at several budgets cost no encoder
+    memory of their own.
+    """
     if partition.digest() != series.partition_digest:
         raise ValueError("partition does not match the one the encoders were trained on")
     return DefenseBundle(
-        pair=series[result.best_epoch].copy(),
+        pair=series[result.best_epoch],
         threshold=result.threshold,
         partition=partition,
         detector_id=detectors.model_digest(detector),

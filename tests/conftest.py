@@ -108,15 +108,19 @@ def greedy_traces(attack_targets, detector, partition, bench, timings):
 
 
 @pytest.fixture(scope="session")
-def bundle_at(splits, detector, series, partition):
+def score_table(splits, detector, series, partition):
+    """Per-epoch TN/FN scores of the calibration split, shared by every budget."""
+    return calibration.score_table(splits[1], detector, series, partition)
+
+
+@pytest.fixture(scope="session")
+def bundle_at(detector, series, partition, score_table):
     """Calibrated defense bundle per TNIR budget, memoized."""
     cache = {}
 
     def get(control_rate):
         if control_rate not in cache:
-            res = calibration.calibrate(
-                splits[1], detector, series, partition, control_rate
-            )
+            res = calibration.calibrate_table(score_table, control_rate)
             cache[control_rate] = pipeline.bundle_from_calibration(
                 series, res, detector, partition
             )

@@ -1,4 +1,5 @@
 """Query-budgeted evasion, trace replay, defense scoring of stored attacks."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample
 from malguard.detectors import LinearModel
-from malguard import attacks, encoders, pipeline
+from malguard import attacks, calibration, encoders, pipeline
 from malguard.attacks import AttackConfig, AttackTrace
 from malguard.problem_space import Perturbation
 from malguard.quantify import SpacePartition
@@ -306,12 +307,22 @@ def toy_evaluation_world():
     return traces, series, calib_ds, det, part
 
 
+def bundles_at(world, control_rates):
+    """One defense bundle per budget, all calibrated from one score table."""
+    traces, series, calib_ds, det, part = world
+    table = calibration.score_table(calib_ds, det, series, part)
+    return [
+        pipeline.bundle_from_calibration(
+            series, calibration.calibrate_table(table, k), det, part
+        )
+        for k in control_rates
+    ]
+
+
 @pytest.mark.filterwarnings("ignore:no false negatives")
-def test_evaluate_defense_rows(tmp_path):
-    traces, series, calib_ds, det, part = toy_evaluation_world()
-    report = attacks.evaluate_defense(
-        traces, series, calib_ds, det, part, control_rates=(10.0, 5.0), method="nearest_rank"
-    )
+def test_evaluate_defense_rows():
+    world = toy_evaluation_world()
+    report = attacks.evaluate_defense(world[0], bundles_at(world, (10.0, 5.0)))
     assert [row.control_rate for row in report.rows] == [10.0, 5.0]
     for row in report.rows:
         assert 0.0 <= row.tnir <= 1.0
@@ -321,9 +332,38 @@ def test_evaluate_defense_rows(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:no false negatives")
+def test_evaluate_defense_equals_from_scratch_calibration():
+    world = toy_evaluation_world()
+    traces, series, calib_ds, det, part = world
+    rates = (10.0, 5.0, 1.0)
+    rows = attacks.evaluate_defense(traces, bundles_at(world, rates)).rows
+    for k, row in zip(rates, rows):
+        result = calibration.calibrate(calib_ds, det, series, part, k)
+        bundle = pipeline.bundle_from_calibration(series, result, det, part)
+        before, after = attacks.offline_defense_rates(traces, bundle)
+        assert row == attacks.EvalRow(
+            k, result.threshold, result.best_epoch, result.tnir_at_threshold,
+            result.fnir_at_threshold, before, after, attacks.ndasr(before, after),
+        )
+
+
+def test_evaluate_defense_warns_once_without_false_negatives():
+    world = toy_evaluation_world()
+    traces, series, calib_ds, det, part = world
+    assert calibration.detector_negative_scores(calib_ds, det)[1].size == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = attacks.evaluate_defense(traces, bundles_at(world, (10.0, 5.0)))
+    assert [str(w.message) for w in caught] == [
+        "no false negatives in calibration data; FNIR defined as 0"
+    ]
+    assert [row.fnir for row in report.rows] == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore:no false negatives")
 def test_evaluate_defense_all_failed_traces_have_undefined_ndasr():
-    traces, series, calib_ds, det, part = toy_evaluation_world()
-    failed = [replace(t, success=False) for t in traces]
-    report = attacks.evaluate_defense(failed, series, calib_ds, det, part, (10.0, 5.0))
+    world = toy_evaluation_world()
+    failed = [replace(t, success=False) for t in world[0]]
+    report = attacks.evaluate_defense(failed, bundles_at(world, (10.0, 5.0)))
     assert [(r.asr_before, r.asr_after, r.ndasr) for r in report.rows] == [(0.0, 0.0, None)] * 2
     assert report.to_dict()["rows"][0]["ndasr"] is None

@@ -1,11 +1,13 @@
 """Run-directory workflow: every verb, manifest bookkeeping, reproducibility."""
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
-from malguard import attacks, cli, data, detectors, pipeline, storage
+from malguard import attacks, calibration, cli, data, detectors, encoders, pipeline
+from malguard import quantify, storage
 
 
 TINY = {
@@ -184,6 +186,75 @@ def test_evaluate_emits_rows_per_attack_and_k(run_dir):
             assert 0.0 <= r["ndasr"] <= 1.0 or r["asr_before"] == 0.0
     txt = (run / cli.EVALUATION_TXT).read_text()
     assert "ndasr" in txt and "greedy" in txt
+
+
+def test_evaluation_rows_equal_a_from_scratch_calibration_per_k(run_dir):
+    run, _ = run_dir
+    ev = json.loads((run / cli.EVALUATION_JSON).read_text())
+    space = data.load_feature_space(run / cli.SPACE_FILE)
+    calib = data.read_dataset(run / cli.CALIB_FILE, space)
+    detector, _ = detectors.load_model(run / cli.DETECTOR_FILE)
+    part = quantify.load_partition(run / cli.PARTITION_FILE)
+    series = encoders.CheckpointSeries.load(run / cli.ENCODERS_FILE)
+    for mode, rows in ev["attacks"].items():
+        traces = attacks.load_traces(run / f"traces-{mode}.jsonl", space.dim)
+        expected = []
+        for k in ev["k_list"]:
+            result = calibration.calibrate(calib, detector, series, part, k)
+            bundle = pipeline.bundle_from_calibration(series, result, detector, part)
+            before, after = attacks.offline_defense_rates(traces, bundle)
+            expected.append(vars(attacks.EvalRow(
+                k, result.threshold, result.best_epoch, result.tnir_at_threshold,
+                result.fnir_at_threshold, before, after,
+                attacks.ndasr(before, after) if before > 0.0 else None,
+            )))
+        assert rows == expected, mode
+
+
+def test_evaluate_scores_each_checkpoint_once_per_verb(run_dir, tmp_path, monkeypatch):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    space = data.load_feature_space(copy / cli.SPACE_FILE)
+    calib = data.read_dataset(copy / cli.CALIB_FILE, space)
+    detector, _ = detectors.load_model(copy / cli.DETECTOR_FILE)
+    series = encoders.CheckpointSeries.load(copy / cli.ENCODERS_FILE)
+    tn_rows, fn_rows = calibration.detector_negative_scores(calib, detector)
+    assert tn_rows.size and fn_rows.size
+    x = calib.matrix()
+    negatives = {"tn": x[tn_rows].toarray(), "fn": x[fn_rows].toarray()}
+    scored = []
+    real = encoders.batch_scores
+
+    def counting(pair, partition, batch):
+        dense = batch.toarray()
+        for name, rows in negatives.items():
+            if np.array_equal(dense, rows):
+                scored.append((encoders.pair_digest(pair), name))
+        return real(pair, partition, batch)
+
+    monkeypatch.setattr(encoders, "batch_scores", counting)
+    expected = sorted((encoders.pair_digest(series[e]), name)
+                      for e in range(len(series)) for name in negatives)
+    for verb in ("evaluate", "report"):
+        scored.clear()
+        assert cli.main([verb, "--run-dir", str(copy), "--config", str(config)]) == 0
+        assert sorted(scored) == expected, verb
+
+
+def test_cli_defaults_match_library_defaults():
+    enc = asdict(encoders.TrainConfig())
+    del enc["seed"]
+    enc["lambdas"] = list(enc["lambdas"])
+    assert cli.DEFAULT_CONFIG["encoders"] == enc
+    dcfg = pipeline.DefenseConfig()
+    assert cli.DEFAULT_CONFIG["pseudo"] == {
+        "budget": dcfg.pseudo_budget, "mode": dcfg.pseudo_mode,
+        "flip_limit": dcfg.pseudo_flip_limit,
+    }
+    assert cli.DEFAULT_CONFIG["calibration"] == {
+        "control_rate": dcfg.control_rate, "method": dcfg.percentile_method,
+    }
 
 
 def test_evaluate_all_failed_attack_reports_undefined_ndasr(run_dir, tmp_path, capsys):

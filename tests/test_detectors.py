@@ -200,3 +200,38 @@ def test_mlp_model_round_trip(tmp_path):
     np.testing.assert_array_equal(
         back.decision_scores(ds.matrix()), model.decision_scores(ds.matrix())
     )
+
+
+def test_loaded_detector_is_read_only(tmp_path):
+    import dataclasses
+
+    linear = detectors.train_linear(planted_dataset(n=100, seed=9), seed=2)
+    mlp = detectors.train_mlp(xor_dataset(reps=5), hidden=[4], epochs=2, seed=3)
+    loaded = []
+    for model in (linear, mlp):
+        detectors.save_model(model, tmp_path / "m.zip")
+        loaded.append(detectors.load_model(tmp_path / "m.zip")[0])
+    linear, mlp = loaded
+    for a in (linear.weights, *mlp.net.weights, *mlp.net.biases):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        linear.bias = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mlp.net = None
+    with pytest.raises(TypeError):
+        mlp.net.weights[0] = np.zeros((2, 4))
+
+
+def test_model_digest_is_the_parameter_hash_and_is_kept():
+    from malguard import storage
+
+    w = np.array([0.5, -1.0, 2.0])
+    model = detectors.LinearModel(w, 0.25)
+    expected = storage.sha256_hex(b"linear" + w.tobytes() + np.float64(0.25).tobytes())
+    assert detectors.model_digest(model) == expected
+    w[0] = 9.0  # the model holds its own copy of the weights
+    assert detectors.model_digest(model) == expected
+    assert detectors.model_digest(detectors.LinearModel(w, 0.25)) != expected
+    with pytest.raises(TypeError):
+        detectors.model_digest(object())

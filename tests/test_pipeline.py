@@ -4,7 +4,7 @@ import pytest
 
 from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample
 from malguard.detectors import LinearModel, train_linear
-from malguard import encoders, pipeline
+from malguard import detectors, encoders, pipeline
 from malguard.pipeline import BuildError, DefenseConfig
 from malguard.problem_space import AppModel, Perturbation
 from malguard.quantify import SpacePartition
@@ -73,8 +73,6 @@ def test_build_produces_consistent_bundle(built):
     assert bundle.threshold == bundle.calibration.threshold
     assert bundle.metadata["pseudo_generated"] >= 1
     assert len(bundle.metadata["epoch_losses"]) == 8
-    import malguard.detectors as detectors
-
     assert bundle.detector_id == detectors.model_digest(detector)
 
 
@@ -107,11 +105,21 @@ def test_defended_run_matches_per_vector_path(built):
         assert rec.score == single.score
 
 
-def test_detect_rejects_foreign_detector(built):
+def test_detect_rejects_foreign_detector(built, tmp_path):
     ds, train, calib, detector, perts, apps, bundle = built
-    other = LinearModel(np.zeros(ds.space.dim), -1.0)
-    with pytest.raises(ValueError):
-        pipeline.detect(bundle, other, ds.samples[0].vector)
+    vector = ds.samples[0].vector
+    pipeline.detect(bundle, detector, vector)  # the digest is now cached
+    detectors.save_model(detector, tmp_path / "d.zip")
+    reloaded, _ = detectors.load_model(tmp_path / "d.zip")
+    pipeline.detect(bundle, reloaded, vector)
+    nudged = reloaded.weights.copy()
+    nudged[0] += 1e-12
+    for other in (LinearModel(np.zeros(ds.space.dim), -1.0),
+                  LinearModel(nudged, reloaded.bias)):
+        with pytest.raises(ValueError):
+            pipeline.detect(bundle, other, vector)
+        with pytest.raises(ValueError):
+            pipeline.defended_run(bundle, other, ds)
 
 
 def test_bundle_round_trip_bytes(tmp_path, built):
