@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,6 +89,15 @@ class CalibrationResult:
     fnir_at_threshold: float
     control_rate: float
     table: tuple[EpochCalibration, ...]
+
+    def to_dict(self) -> dict:
+        """JSON form; the table is a list so the dict equals its parsed JSON."""
+        return {**asdict(self), "table": [asdict(row) for row in self.table]}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CalibrationResult":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{**doc, "table": tuple(EpochCalibration(**row) for row in doc["table"])})
 
 
 def detector_negative_scores(calib: Dataset, detector) -> tuple[np.ndarray, np.ndarray]:

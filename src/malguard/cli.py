@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from malguard import attacks, calibration, data, detectors, encoders, pipeline
@@ -47,43 +48,27 @@ CONFIG_FILE = "config.json"
 
 _MANIFEST_FORMAT = "malguard-run-v1"
 
+
+def _json_defaults(config) -> dict:
+    """A library config's default fields, seed left out, in JSON form (tuples as lists)."""
+    return json.loads(json.dumps({k: v for k, v in asdict(config).items() if k != "seed"}))
+
+
+_DEFENSE = pipeline.DefenseConfig()
+
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "k_list": [10.0, 5.0, 1.0],
-    "synth": {
-        "dim": 2000,
-        "ps_size": 150,
-        "n_benign": 8000,
-        "n_malicious": 2000,
-        "n_modes": 6,
-        "alpha": 0.9,
-        "evasion_bits": 24,
-        "evasion_on_benign": 0.35,
-        "evasion_on_malicious": 0.06,
-        "ps_mode_on": 0.7,
-        "ps_mode_off": 0.01,
-        "ips_mode_bits": 100,
-        "ips_mode_on": 0.5,
-        "ips_mode_off": 0.03,
-        "malware_bits": 250,
-        "malware_on_benign": 0.10,
-        "malware_lift": 0.006,
-        "background_on": 0.04,
-        "activity_on": 0.95,
-        "n_perturbations": 40,
-        "evasion_per_perturbation": 1,
-        "ts_range": [0, 1_000_000],
-    },
+    "synth": _json_defaults(synthetic.GeneratorConfig()),
     "split": {"mode": "random", "ratios": [0.5, 0.2, 0.3], "t1": None, "t2": None},
     "detector": {"kind": "linear", "epochs": 60, "lr": 0.5, "l2": 1e-4,
                  "batch_size": 256, "hidden": [200, 200]},
-    "pseudo": {"budget": 100, "mode": "add", "flip_limit": 20},
-    "encoders": {"epochs": 50, "lr": 1e-3, "margin": 1.0, "lambdas": [1.0, 1.0, 1.0],
-                 "batch_size": 256, "embed_dim": 32, "width_factor": 4,
-                 "max_hidden": 2048, "dropout": 0.2},
-    "calibration": {"control_rate": 5.0, "method": "nearest_rank"},
-    "attack": {"query_budget": 10, "variant_count": 10, "target": "score-oracle",
-               "samples": 200},
+    "pseudo": {"budget": _DEFENSE.pseudo_budget, "mode": _DEFENSE.pseudo_mode,
+               "flip_limit": _DEFENSE.pseudo_flip_limit},
+    "encoders": _json_defaults(_DEFENSE.encoder),
+    "calibration": {"control_rate": _DEFENSE.control_rate,
+                    "method": _DEFENSE.percentile_method},
+    "attack": {**_json_defaults(attacks.AttackConfig()), "samples": 200},
 }
 
 
@@ -96,7 +81,9 @@ def _merge_config(base: dict, override: dict, crumb: str = "") -> dict:
     for key, value in override.items():
         if key not in base:
             raise StageError(f"unknown config key {crumb + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise StageError(f"config key {crumb + key!r} must be a JSON object")
             out[key] = _merge_config(base[key], value, crumb + key + ".")
         else:
             out[key] = value
@@ -352,13 +339,10 @@ def cmd_train_encoders(args) -> int:
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
     pseudo_set = data.read_dataset(artifact(run, PSEUDO_FILE), space)
     ecfg_in = cfg["encoders"]
-    tcfg = encoders.TrainConfig(
-        epochs=ecfg_in["epochs"], lr=ecfg_in["lr"], margin=ecfg_in["margin"],
-        lambdas=tuple(ecfg_in["lambdas"]), batch_size=ecfg_in["batch_size"],
-        embed_dim=ecfg_in["embed_dim"], width_factor=ecfg_in["width_factor"],
-        max_hidden=ecfg_in["max_hidden"], dropout=ecfg_in["dropout"],
-        seed=storage.stage_seed(cfg["seed"], "train-encoders"),
-    )
+    tcfg = encoders.TrainConfig(**{
+        **ecfg_in, "lambdas": tuple(ecfg_in["lambdas"]),
+        "seed": storage.stage_seed(cfg["seed"], "train-encoders"),
+    })
     series = encoders.train(train, pseudo.from_dataset(pseudo_set), partition, tcfg)
     series.save(run / ENCODERS_FILE)
     _record_stage(run, "train-encoders", ecfg_in | {"seed": tcfg.seed},
@@ -381,21 +365,10 @@ def _calibrate(run: RunDir, cfg: dict, control_rate: float | None):
     return result, partition, detector, series
 
 
-def _calibration_dict(result) -> dict:
-    return {
-        "threshold": result.threshold,
-        "best_epoch": result.best_epoch,
-        "tnir_at_threshold": result.tnir_at_threshold,
-        "fnir_at_threshold": result.fnir_at_threshold,
-        "control_rate": result.control_rate,
-        "table": [vars(row) | {} for row in result.table],
-    }
-
-
 def cmd_calibrate(args) -> int:
     run, cfg = _prepare_run(args)
     result, _, _, _ = _calibrate(run, cfg, args.k)
-    _dump_json(_calibration_dict(result), run / CALIBRATION_FILE)
+    _dump_json(result.to_dict(), run / CALIBRATION_FILE)
     _record_stage(
         run, "calibrate",
         {"control_rate": result.control_rate, "method": cfg["calibration"]["method"]},
@@ -411,7 +384,7 @@ def cmd_build_defense(args) -> int:
     run, cfg = _prepare_run(args)
     stored = json.loads(artifact(run, CALIBRATION_FILE).read_text(encoding="utf-8"))
     result, partition, detector, series = _calibrate(run, cfg, stored["control_rate"])
-    if _calibration_dict(result) != stored:
+    if result.to_dict() != stored:
         raise StageError(
             "stored calibration no longer matches a recomputation from the"
             " encoder series; re-run calibrate"
@@ -432,7 +405,9 @@ def cmd_build_defense(args) -> int:
 
 
 def _attack_candidates(test: data.Dataset, detector, limit: int | None):
-    """Detector true positives, in dataset order."""
+    """Detector true positives, in dataset order, at most *limit* of them."""
+    if limit is not None and limit < 1:
+        raise StageError(f"the number of samples to attack must be >= 1, got {limit}")
     picked = []
     for s in test.by_label(data.MALICIOUS):
         if detector.is_malicious(s.vector):

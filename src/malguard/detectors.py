@@ -11,13 +11,13 @@ checkpoint files.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse, stats
 
 from malguard import nnet, storage
-from malguard.data import MALICIOUS, Dataset, FeatureSpace, FeatureVector, vectors_matrix
+from malguard.data import MALICIOUS, Dataset, FeatureVector, vectors_matrix
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -186,41 +186,6 @@ def train_mlp(
 
 
 @dataclass(frozen=True)
-class FeatureSelection:
-    """Mapping from a source space onto the top-ranked feature subset."""
-
-    indices: tuple[int, ...]
-    source_dim: int
-
-
-def select_features(
-    dataset: Dataset, k: int, seed: int = 0, epochs: int = 40, lr: float = 0.5
-) -> tuple[FeatureSpace, FeatureSelection]:
-    """Keep the k features with largest-magnitude linear weights (ties: lower index)."""
-    dim = dataset.space.dim
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
-    model = train_linear(dataset, epochs=epochs, lr=lr, seed=seed)
-    order = np.lexsort((np.arange(dim), -np.abs(model.weights)))
-    keep = np.sort(order[:k])
-    reduced = FeatureSpace(tuple(dataset.space.features[i] for i in keep))
-    return reduced, FeatureSelection(tuple(int(i) for i in keep), dim)
-
-
-def apply_selection(dataset: Dataset, selection: FeatureSelection, space: FeatureSpace) -> Dataset:
-    if dataset.space.dim != selection.source_dim:
-        raise ValueError(
-            f"selection was built for dim {selection.source_dim}, dataset has {dataset.space.dim}"
-        )
-    pos = {src: j for j, src in enumerate(selection.indices)}
-    samples = []
-    for s in dataset.samples:
-        kept = [pos[i] for i in s.vector.indices if i in pos]
-        samples.append(replace(s, vector=FeatureVector.make(kept, space.dim)))
-    return Dataset(space, tuple(samples))
-
-
-@dataclass(frozen=True)
 class DetectionMetrics:
     tp: int
     fp: int
@@ -262,41 +227,28 @@ def evaluate(model, dataset: Dataset) -> DetectionMetrics:
 _MODEL_FORMAT = "malguard-detector-v1"
 
 
-def save_model(model, path, selection: FeatureSelection | None = None) -> None:
+def save_model(model, path) -> None:
     meta: dict = {"format": _MODEL_FORMAT}
-    arrays: dict[str, np.ndarray] = {}
-    if selection is not None:
-        meta["selection_source_dim"] = selection.source_dim
-        arrays["selection"] = np.asarray(selection.indices, dtype=np.int64)
     if isinstance(model, LinearModel):
         meta["kind"] = "linear"
         meta["bias"] = model.bias
-        arrays["weights"] = model.weights
+        arrays = {"weights": model.weights}
     elif isinstance(model, MlpModel):
         meta["kind"] = "mlp"
         meta["dims"] = list(model.net.dims)
-        for i, (w, b) in enumerate(zip(model.net.weights, model.net.biases)):
-            arrays[f"w{i}"] = w
-            arrays[f"b{i}"] = b
+        arrays = nnet.mlp_arrays(model.net)
     else:
         raise TypeError(f"unsupported model type: {type(model)!r}")
     storage.save_container(path, meta, arrays)
 
 
 def load_model(path):
+    """Load a detector file as ``(model, None)``; callers unpack a pair."""
     meta, arrays = storage.load_container(path)
     storage.expect_format(meta, _MODEL_FORMAT, path)
-    selection = None
-    if "selection" in arrays:
-        selection = FeatureSelection(
-            tuple(int(i) for i in arrays["selection"]), int(meta["selection_source_dim"])
-        )
     if meta["kind"] == "linear":
-        return LinearModel(arrays["weights"], float(meta["bias"])), selection
-    dims = [int(d) for d in meta["dims"]]
-    weights = [arrays[f"w{i}"] for i in range(len(dims) - 1)]
-    biases = [arrays[f"b{i}"] for i in range(len(dims) - 1)]
-    return MlpModel(nnet.Mlp(dims, weights, biases)), selection
+        return LinearModel(arrays["weights"], float(meta["bias"])), None
+    return MlpModel(nnet.mlp_from_arrays(meta["dims"], arrays)), None
 
 
 def model_digest(model) -> str:

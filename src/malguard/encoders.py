@@ -95,6 +95,28 @@ def init_pair(partition: SpacePartition, cfg: TrainConfig, seed_seq) -> EncoderP
     return EncoderPair(eps, eips, cfg.embed_dim, cfg.dropout)
 
 
+def pair_fields(pair: EncoderPair, prefix: str = "") -> tuple[dict, dict[str, np.ndarray]]:
+    """Container meta fields and ``{prefix}eps_*``/``{prefix}eips_*`` arrays of a pair."""
+    meta = {
+        "embed_dim": pair.embed_dim,
+        "dropout_rate": pair.dropout_rate,
+        "eps_dims": list(pair.eps.dims),
+        "eips_dims": list(pair.eips.dims),
+    }
+    arrays = nnet.mlp_arrays(pair.eps, f"{prefix}eps_")
+    return meta, arrays | nnet.mlp_arrays(pair.eips, f"{prefix}eips_")
+
+
+def pair_from_fields(meta: dict, arrays: dict[str, np.ndarray], prefix: str = "") -> EncoderPair:
+    """Inverse of :func:`pair_fields`."""
+    return EncoderPair(
+        nnet.mlp_from_arrays(meta["eps_dims"], arrays, f"{prefix}eps_"),
+        nnet.mlp_from_arrays(meta["eips_dims"], arrays, f"{prefix}eips_"),
+        int(meta["embed_dim"]),
+        float(meta["dropout_rate"]),
+    )
+
+
 # ---------------------------------------------------------------- scoring
 
 def _restrict(x: sparse.spmatrix, cols: np.ndarray) -> np.ndarray:
@@ -270,43 +292,23 @@ class CheckpointSeries:
     def save(self, path) -> None:
         if not self.pairs:
             raise ValueError("cannot save an empty checkpoint series")
-        first = self.pairs[0]
+        fields = [pair_fields(pair, f"e{e:04d}_") for e, pair in enumerate(self.pairs)]
         meta = {
+            **fields[0][0],
             "format": _SERIES_FORMAT,
             "epochs": len(self.pairs),
-            "embed_dim": first.embed_dim,
-            "dropout_rate": first.dropout_rate,
-            "eps_dims": list(first.eps.dims),
-            "eips_dims": list(first.eips.dims),
             "partition_digest": self.partition_digest,
             "config": self.config,
             "epoch_losses": self.epoch_losses,
         }
-        arrays = {}
-        for e, pair in enumerate(self.pairs):
-            for name, net in (("eps", pair.eps), ("eips", pair.eips)):
-                for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                    arrays[f"e{e:04d}_{name}_w{i}"] = w
-                    arrays[f"e{e:04d}_{name}_b{i}"] = b
+        arrays = {name: a for _, pair_arrays in fields for name, a in pair_arrays.items()}
         storage.save_container(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "CheckpointSeries":
         meta, arrays = storage.load_container(path)
         storage.expect_format(meta, _SERIES_FORMAT, path)
-        pairs = []
-        for e in range(int(meta["epochs"])):
-            nets = {}
-            for name, dims in (("eps", meta["eps_dims"]), ("eips", meta["eips_dims"])):
-                dims = [int(d) for d in dims]
-                ws = [arrays[f"e{e:04d}_{name}_w{i}"] for i in range(len(dims) - 1)]
-                bs = [arrays[f"e{e:04d}_{name}_b{i}"] for i in range(len(dims) - 1)]
-                nets[name] = nnet.Mlp(dims, ws, bs)
-            pairs.append(
-                EncoderPair(
-                    nets["eps"], nets["eips"], int(meta["embed_dim"]), float(meta["dropout_rate"])
-                )
-            )
+        pairs = [pair_from_fields(meta, arrays, f"e{e:04d}_") for e in range(int(meta["epochs"]))]
         return cls(pairs, meta["partition_digest"], meta["config"], meta["epoch_losses"])
 
 

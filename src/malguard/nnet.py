@@ -35,6 +35,23 @@ class Mlp:
         )
 
 
+def mlp_arrays(mlp: Mlp, prefix: str = "") -> dict[str, np.ndarray]:
+    """Container arrays of a network: ``{prefix}w{i}`` and ``{prefix}b{i}`` per layer."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        arrays[f"{prefix}w{i}"] = w
+        arrays[f"{prefix}b{i}"] = b
+    return arrays
+
+
+def mlp_from_arrays(dims, arrays: dict[str, np.ndarray], prefix: str = "") -> Mlp:
+    """Inverse of :func:`mlp_arrays` for a network with layer widths *dims*."""
+    dims = [int(d) for d in dims]
+    layers = range(len(dims) - 1)
+    weights = [arrays[f"{prefix}w{i}"] for i in layers]
+    return Mlp(dims, weights, [arrays[f"{prefix}b{i}"] for i in layers])
+
+
 def init_mlp(dims, rng: np.random.Generator) -> Mlp:
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"need at least input and output dims >= 1, got {dims!r}")

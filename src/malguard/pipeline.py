@@ -14,7 +14,8 @@ defense can only move benign verdicts to malicious.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+from dataclasses import asdict, dataclass, field, replace
 
 from malguard import calibration, detectors, encoders, pseudo, quantify, storage
 from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureVector
@@ -110,9 +111,7 @@ def build(
             " raise the budget or verify the detector and partition",
         )
 
-    enc_cfg = encoders.TrainConfig(
-        **{**asdict(cfg.encoder), "seed": cfg.stage_seed("train-encoders")}
-    )
+    enc_cfg = replace(cfg.encoder, seed=cfg.stage_seed("train-encoders"))
     try:
         series = encoders.train(train, pam, partition, enc_cfg)
     except Exception as exc:
@@ -126,21 +125,15 @@ def build(
         raise BuildError("calibrate", str(exc)) from exc
 
     metadata = {
-        "config": _config_dict(cfg),
+        "config": json.loads(json.dumps(asdict(cfg))),  # tuples as lists
         "train_fingerprint": train.fingerprint(),
         "calib_fingerprint": calib.fingerprint(),
         "pseudo_generated": len(pam),
         "pseudo_sources": len(mal_train),
         "epoch_losses": series.epoch_losses,
-        "calibration_table": [asdict(row) for row in result.table],
+        "calibration_table": result.to_dict()["table"],
     }
     return bundle_from_calibration(series, result, detector, partition, metadata)
-
-
-def _config_dict(cfg: DefenseConfig) -> dict:
-    doc = asdict(cfg)
-    doc["encoder"]["lambdas"] = list(doc["encoder"]["lambdas"])
-    return doc
 
 
 def _check_detector(bundle: DefenseBundle, detector) -> None:
@@ -189,37 +182,22 @@ _BUNDLE_FORMAT = "malguard-defense-bundle-v1"
 
 
 def save_bundle(bundle: DefenseBundle, path) -> None:
+    pair_meta, arrays = encoders.pair_fields(bundle.pair)
     meta = {
+        **pair_meta,
         "format": _BUNDLE_FORMAT,
         "threshold": bundle.threshold,
         "detector_id": bundle.detector_id,
         "partition_digest": bundle.partition_digest,
         "dim": bundle.partition.dim,
-        "embed_dim": bundle.pair.embed_dim,
-        "dropout_rate": bundle.pair.dropout_rate,
-        "eps_dims": list(bundle.pair.eps.dims),
-        "eips_dims": list(bundle.pair.eips.dims),
-        "calibration": {
-            "threshold": bundle.calibration.threshold,
-            "best_epoch": bundle.calibration.best_epoch,
-            "tnir_at_threshold": bundle.calibration.tnir_at_threshold,
-            "fnir_at_threshold": bundle.calibration.fnir_at_threshold,
-            "control_rate": bundle.calibration.control_rate,
-            "table": [asdict(row) for row in bundle.calibration.table],
-        },
+        "calibration": bundle.calibration.to_dict(),
         "metadata": bundle.metadata,
     }
-    arrays = {"ps": bundle.partition.ps_array()}
-    for name, net in (("eps", bundle.pair.eps), ("eips", bundle.pair.eips)):
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            arrays[f"{name}_w{i}"] = w
-            arrays[f"{name}_b{i}"] = b
+    arrays["ps"] = bundle.partition.ps_array()
     storage.save_container(path, meta, arrays)
 
 
 def load_bundle(path) -> DefenseBundle:
-    from malguard import nnet
-
     meta, arrays = storage.load_container(path)
     storage.expect_format(meta, _BUNDLE_FORMAT, path)
     partition = SpacePartition.from_ps(
@@ -227,33 +205,12 @@ def load_bundle(path) -> DefenseBundle:
     )
     if partition.digest() != meta["partition_digest"]:
         raise ValueError(f"{path}: stored partition does not match its digest")
-    nets = {}
-    for name in ("eps", "eips"):
-        dims = [int(d) for d in meta[f"{name}_dims"]]
-        ws = [arrays[f"{name}_w{i}"] for i in range(len(dims) - 1)]
-        bs = [arrays[f"{name}_b{i}"] for i in range(len(dims) - 1)]
-        nets[name] = nnet.Mlp(dims, ws, bs)
-    cal = meta["calibration"]
-    result = calibration.CalibrationResult(
-        threshold=float(cal["threshold"]),
-        best_epoch=int(cal["best_epoch"]),
-        tnir_at_threshold=float(cal["tnir_at_threshold"]),
-        fnir_at_threshold=float(cal["fnir_at_threshold"]),
-        control_rate=float(cal["control_rate"]),
-        table=tuple(
-            calibration.EpochCalibration(int(r["epoch"]), float(r["threshold"]), float(r["fnir"]))
-            for r in cal["table"]
-        ),
-    )
-    pair = encoders.EncoderPair(
-        nets["eps"], nets["eips"], int(meta["embed_dim"]), float(meta["dropout_rate"])
-    )
     return DefenseBundle(
-        pair=pair,
+        pair=encoders.pair_from_fields(meta, arrays),
         threshold=float(meta["threshold"]),
         partition=partition,
         detector_id=meta["detector_id"],
-        calibration=result,
+        calibration=calibration.CalibrationResult.from_dict(meta["calibration"]),
         metadata=meta["metadata"],
     )
 

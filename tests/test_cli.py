@@ -1,13 +1,14 @@
 """Run-directory workflow: every verb, manifest bookkeeping, reproducibility."""
 import json
 import shutil
+import zipfile
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from malguard import attacks, calibration, cli, data, detectors, encoders, pipeline
-from malguard import quantify, storage
+from malguard import quantify, storage, synthetic
 
 
 TINY = {
@@ -243,10 +244,18 @@ def test_evaluate_scores_each_checkpoint_once_per_verb(run_dir, tmp_path, monkey
 
 
 def test_cli_defaults_match_library_defaults():
-    enc = asdict(encoders.TrainConfig())
-    del enc["seed"]
+    def defaults(config):
+        doc = asdict(config)
+        del doc["seed"]
+        return doc
+
+    enc = defaults(encoders.TrainConfig())
     enc["lambdas"] = list(enc["lambdas"])
     assert cli.DEFAULT_CONFIG["encoders"] == enc
+    synth = defaults(synthetic.GeneratorConfig())
+    synth["ts_range"] = list(synth["ts_range"])
+    assert cli.DEFAULT_CONFIG["synth"] == synth
+    assert cli.DEFAULT_CONFIG["attack"] == defaults(attacks.AttackConfig()) | {"samples": 200}
     dcfg = pipeline.DefenseConfig()
     assert cli.DEFAULT_CONFIG["pseudo"] == {
         "budget": dcfg.pseudo_budget, "mode": dcfg.pseudo_mode,
@@ -255,6 +264,75 @@ def test_cli_defaults_match_library_defaults():
     assert cli.DEFAULT_CONFIG["calibration"] == {
         "control_rate": dcfg.control_rate, "method": dcfg.percentile_method,
     }
+    # config.json is this dict dumped; a tuple in it would not survive the round trip
+    assert json.loads(json.dumps(cli.DEFAULT_CONFIG)) == cli.DEFAULT_CONFIG
+
+
+def test_config_section_that_is_not_an_object_is_rejected(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    for bad in ({"synth": 3}, {"encoders": [1]}, {"attack": None}):
+        config.write_text(json.dumps(bad))
+        code = cli.main(["synth", "--run-dir", str(tmp_path / "r"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error [synth]" in err and repr(next(iter(bad))) in err
+
+
+def test_attack_rejects_a_sample_limit_below_one(run_dir, tmp_path, capsys):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    traces = (copy / "traces-greedy.jsonl").read_bytes()
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({**TINY, "attack": {**TINY["attack"], "samples": -1}}))
+    for extra in (["--samples", "0", "--config", str(config)],
+                  ["--samples", "-3", "--config", str(config)],
+                  ["--config", str(negative)]):
+        code = cli.main(["attack", "--mode", "greedy", "--run-dir", str(copy), *extra])
+        assert code == 1, extra
+        assert "error [attack]" in capsys.readouterr().err
+    assert (copy / "traces-greedy.jsonl").read_bytes() == traces
+
+
+def _container_scheme(path):
+    """Sorted entry names and sorted meta keys of a container, read without malguard."""
+    with zipfile.ZipFile(path) as zf:
+        return sorted(zf.namelist()), sorted(json.loads(zf.read("meta.json")))
+
+
+def test_container_schemes_are_pinned(tmp_path):
+    # Readers outside malguard (the benchmark's checks among them) rely on these names.
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**TINY, "encoders": {**TINY["encoders"], "epochs": 2}}))
+    run = tmp_path / "run"
+    run_verbs(run, config, [[verb] for verb in (
+        "synth", "split", "train-detector", "quantify", "gen-pseudo", "train-encoders",
+        "calibrate", "build-defense")])
+    layers = ["b0.npy", "b1.npy", "w0.npy", "w1.npy"]  # one hidden layer at TINY's widths
+    pair = [f"{net}_{entry}" for net in ("eips", "eps") for entry in layers]
+    pair_meta = ["dropout_rate", "eips_dims", "embed_dim", "eps_dims"]
+    assert _container_scheme(run / cli.ENCODERS_FILE) == (
+        sorted([f"e000{e}_{entry}" for e in (0, 1) for entry in pair] + ["meta.json"]),
+        sorted(pair_meta + ["config", "epoch_losses", "epochs", "format", "partition_digest"]),
+    )
+    assert _container_scheme(run / cli.BUNDLE_FILE) == (
+        sorted(pair + ["meta.json", "ps.npy"]),
+        sorted(pair_meta + ["calibration", "detector_id", "dim", "format", "metadata",
+                            "partition_digest", "threshold"]),
+    )
+    calibration_json = json.loads((run / cli.CALIBRATION_FILE).read_text())
+    assert sorted(calibration_json) == ["best_epoch", "control_rate", "fnir_at_threshold",
+                                        "table", "threshold", "tnir_at_threshold"]
+    assert [sorted(row) for row in calibration_json["table"]] == [["epoch", "fnir", "threshold"]] * 2
+    with zipfile.ZipFile(run / cli.BUNDLE_FILE) as zf:
+        assert json.loads(zf.read("meta.json"))["calibration"] == calibration_json
+    assert _container_scheme(run / cli.DETECTOR_FILE) == (
+        ["meta.json", "weights.npy"], ["bias", "format", "kind"])
+    mlp = tmp_path / "mlp.json"
+    mlp.write_text(json.dumps({**TINY, "detector": {"kind": "mlp", "epochs": 2, "hidden": [8]}}))
+    run_verbs(run, mlp, [["train-detector"]])
+    assert _container_scheme(run / cli.DETECTOR_FILE) == (
+        sorted(layers + ["meta.json"]), ["dims", "format", "kind"])
 
 
 def test_evaluate_all_failed_attack_reports_undefined_ndasr(run_dir, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Detector training, metrics, feature selection, model persistence."""
+"""Detector training, metrics, model persistence."""
 import numpy as np
 import pytest
 
@@ -121,29 +121,6 @@ def test_mlp_is_malicious_agrees_with_scores():
         assert model.is_malicious(s.vector) == (sc > model.decision_threshold)
 
 
-def test_select_features_keeps_predictive_feature():
-    ds = planted_dataset(n=300, dim=20, sep_bits=2, seed=6)
-    reduced, sel = detectors.select_features(ds, k=5, seed=0)
-    assert len(sel.indices) == 5
-    assert sel.indices == tuple(sorted(sel.indices))
-    # the planted class features carry the largest weights
-    assert 0 in sel.indices and 1 in sel.indices
-    small = detectors.apply_selection(ds, sel, reduced)
-    assert small.space.dim == 5
-    model = detectors.train_linear(small, seed=0)
-    assert accuracy(model, small) >= 0.9
-
-
-def test_apply_selection_remaps_indices():
-    ds = planted_dataset(n=40, dim=10, seed=7)
-    reduced, sel = detectors.select_features(ds, k=3, seed=0)
-    small = detectors.apply_selection(ds, sel, reduced)
-    inv = {src: j for j, src in enumerate(sel.indices)}
-    for before, after in zip(ds.samples, small.samples):
-        want = {inv[i] for i in before.vector.indices if i in inv}
-        assert after.vector.as_set() == want
-
-
 def test_auroc_frozen_cases():
     y = np.array([False, False, True, True])
     assert detectors.auroc_from_scores(np.array([0.1, 0.2, 0.8, 0.9]), y) == 1.0
@@ -191,15 +168,17 @@ def test_model_round_trip_bytes(tmp_path):
 def test_mlp_model_round_trip(tmp_path):
     ds = xor_dataset(reps=20)
     model = detectors.train_mlp(ds, hidden=[8], epochs=40, seed=3)
-    reduced, sel = detectors.select_features(ds, k=2, seed=0)
     p = tmp_path / "m.zip"
-    detectors.save_model(model, p, selection=sel)
-    back, back_sel = detectors.load_model(p)
-    assert back_sel == sel
+    detectors.save_model(model, p)
+    first = p.read_bytes()
+    back, second = detectors.load_model(p)
+    assert second is None
     assert detectors.model_digest(back) == detectors.model_digest(model)
     np.testing.assert_array_equal(
         back.decision_scores(ds.matrix()), model.decision_scores(ds.matrix())
     )
+    detectors.save_model(back, p)
+    assert p.read_bytes() == first
 
 
 def test_loaded_detector_is_read_only(tmp_path):
