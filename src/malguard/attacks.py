@@ -196,15 +196,6 @@ def adaptive_attack_2(
     )
 
 
-def replay(trace: AttackTrace, source: Sample, perturbations, dim: int) -> FeatureVector:
-    """Rebuild the final vector from the applied perturbation ids."""
-    by_id = {p.id: p for p in perturbations}
-    active = set(source.vector.indices)
-    for pid in trace.applied:
-        active |= by_id[pid].adds
-    return FeatureVector.make(active, dim)
-
-
 def ndasr(asr_before: float, asr_after: float) -> float:
     """Normalized drop in attack success rate caused by the defense."""
     if asr_before <= 0.0:

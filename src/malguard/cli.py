@@ -72,6 +72,17 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def defense_config(cfg: dict) -> pipeline.DefenseConfig:
+    """The library config of the build stages, from a resolved CLI config."""
+    pcfg, ccfg = cfg["pseudo"], cfg["calibration"]
+    return pipeline.DefenseConfig(
+        pseudo_budget=pcfg["budget"], pseudo_mode=pcfg["mode"],
+        pseudo_flip_limit=pcfg["flip_limit"], control_rate=ccfg["control_rate"],
+        percentile_method=ccfg["method"], encoder=encoders.TrainConfig(**cfg["encoders"]),
+        seed=cfg["seed"],
+    )
+
+
 class StageError(RuntimeError):
     pass
 
@@ -111,14 +122,16 @@ def _dump_json(obj, path: Path) -> None:
 
 
 class RunDir:
-    """A run directory, with the digests of the files one verb has hashed.
+    """A run directory, with the files one verb has read and their digests.
 
-    A verb only reads its inputs, so the digest taken when artifact()
-    resolves an input is the one the verb's stage records.
+    A verb reads its inputs through artifact(), which notes each name, and
+    only reads them, so the digest taken when artifact() resolves an input
+    is the one the verb's stage records.
     """
 
     def __init__(self, path):
         self.path = Path(path)
+        self.inputs: set[str] = set()
         self._digests: dict[str, str] = {}
 
     def __truediv__(self, name: str) -> Path:
@@ -140,12 +153,12 @@ def _load_manifest(run: RunDir) -> dict:
     return manifest
 
 
-def _record_stage(run: RunDir, stage: str, params: dict, inputs: list[str],
-                  outputs: list[str]) -> None:
+def _record_stage(run: RunDir, stage: str, params: dict, outputs: list[str]) -> None:
+    """Record *stage* with every input the verb resolved through artifact()."""
     manifest = _load_manifest(run)
     manifest["stages"][stage] = {
         "params": params,
-        "inputs": {name: run.digest(name) for name in inputs},
+        "inputs": {name: run.digest(name) for name in run.inputs},
         "outputs": {name: storage.file_sha256(run / name) for name in outputs},
     }
     _dump_json(manifest, run / MANIFEST_FILE)
@@ -164,6 +177,7 @@ def artifact(run: RunDir, name: str) -> Path:
                 f"artifact {name!r} no longer matches the digest recorded by"
                 f" stage {stage!r}; re-run that stage"
             )
+    run.inputs.add(name)
     return path
 
 
@@ -221,7 +235,7 @@ def cmd_synth(args) -> int:
         run / SYNTH_META_FILE,
     )
     _record_stage(
-        run, "synth", cfg["synth"] | {"seed": gen_cfg.seed}, [],
+        run, "synth", cfg["synth"] | {"seed": gen_cfg.seed},
         [SPACE_FILE, DATASET_FILE, PERTURBATIONS_FILE, TRUE_PARTITION_FILE,
          SYNTH_META_FILE],
     )
@@ -249,8 +263,7 @@ def cmd_split(args) -> int:
     data.save_dataset(train, run / TRAIN_FILE)
     data.save_dataset(calib, run / CALIB_FILE)
     data.save_dataset(test, run / TEST_FILE)
-    _record_stage(run, "split", params, [DATASET_FILE],
-                  [TRAIN_FILE, CALIB_FILE, TEST_FILE])
+    _record_stage(run, "split", params, [TRAIN_FILE, CALIB_FILE, TEST_FILE])
     print(f"split: train {len(train)}, calib {len(calib)}, test {len(test)}")
     return 0
 
@@ -284,8 +297,7 @@ def cmd_train_detector(args) -> int:
               f" f1 {metrics.f1:.4f} on test")
     else:
         print(f"train-detector: {dcfg['kind']} trained on {len(train)} samples")
-    _record_stage(run, "train-detector", dcfg | {"seed": seed},
-                  [TRAIN_FILE], outputs)
+    _record_stage(run, "train-detector", dcfg | {"seed": seed}, outputs)
     return 0
 
 
@@ -301,10 +313,9 @@ def cmd_quantify(args) -> int:
             " pass --main-activity-feature"
         ) from None
     apps = problem_space.builtin_quantification_apps(space.dim, act)
-    partition = quantify.quantify(space, apps, perts)
+    partition = pipeline.quantify_space(space, apps, perts)
     quantify.save_partition(partition, run / PARTITION_FILE)
-    _record_stage(run, "quantify", {"main_activity": act},
-                  [PERTURBATIONS_FILE], [PARTITION_FILE])
+    _record_stage(run, "quantify", {"main_activity": act}, [PARTITION_FILE])
     print(f"quantify: |ps| {len(partition.ps)}, |ips| {len(partition.ips)},"
           f" digest {partition.digest()[:12]}")
     return 0
@@ -312,21 +323,16 @@ def cmd_quantify(args) -> int:
 
 def cmd_gen_pseudo(args) -> int:
     run, cfg = _prepare_run(args)
+    dcfg = defense_config(cfg)
     space = _load_space(run)
-    train = _load_split(run, TRAIN_FILE, space)
+    sources = _load_split(run, TRAIN_FILE, space).by_label(data.MALICIOUS)
     detector = _load_detector(run)
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
-    pcfg = cfg["pseudo"]
-    seed = storage.stage_seed(cfg["seed"], "gen-pseudo")
-    sources = train.by_label(data.MALICIOUS)
-    generated = pseudo.generate(
-        sources, detector, partition, budget=pcfg["budget"],
-        flip_limit=pcfg["flip_limit"], seed=seed, mode=pcfg["mode"],
-    )
+    generated = pipeline.gen_pseudo(sources, detector, partition, dcfg)
     records = pseudo.to_dataset(generated, sources)
     data.save_dataset(data.Dataset(space, tuple(records)), run / PSEUDO_FILE)
-    _record_stage(run, "gen-pseudo", pcfg | {"seed": seed},
-                  [TRAIN_FILE, DETECTOR_FILE, PARTITION_FILE], [PSEUDO_FILE])
+    _record_stage(run, "gen-pseudo",
+                  cfg["pseudo"] | {"seed": dcfg.stage_seed("gen-pseudo")}, [PSEUDO_FILE])
     print(f"gen-pseudo: {len(generated)}/{len(sources)} sources produced a"
           " detector-benign variant")
     return 0
@@ -334,47 +340,40 @@ def cmd_gen_pseudo(args) -> int:
 
 def cmd_train_encoders(args) -> int:
     run, cfg = _prepare_run(args)
+    dcfg = defense_config(cfg)
     space = _load_space(run)
     train = _load_split(run, TRAIN_FILE, space)
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
-    pseudo_set = data.read_dataset(artifact(run, PSEUDO_FILE), space)
-    ecfg_in = cfg["encoders"]
-    tcfg = encoders.TrainConfig(**{
-        **ecfg_in, "lambdas": tuple(ecfg_in["lambdas"]),
-        "seed": storage.stage_seed(cfg["seed"], "train-encoders"),
-    })
-    series = encoders.train(train, pseudo.from_dataset(pseudo_set), partition, tcfg)
+    pam = pseudo.from_dataset(_load_split(run, PSEUDO_FILE, space))
+    series = pipeline.train_encoders(train, pam, partition, dcfg)
     series.save(run / ENCODERS_FILE)
-    _record_stage(run, "train-encoders", ecfg_in | {"seed": tcfg.seed},
-                  [TRAIN_FILE, PARTITION_FILE, PSEUDO_FILE], [ENCODERS_FILE])
+    _record_stage(run, "train-encoders",
+                  cfg["encoders"] | {"seed": dcfg.stage_seed("train-encoders")},
+                  [ENCODERS_FILE])
     losses = ", ".join(f"{v:.4f}" for v in series.epoch_losses[-3:])
     print(f"train-encoders: {len(series)} checkpoints, last losses [{losses}]")
     return 0
 
 
-def _calibrate(run: RunDir, cfg: dict, control_rate: float | None):
+def _calibrate(run: RunDir, control_rate: float, method: str):
     space = _load_space(run)
     calib = _load_split(run, CALIB_FILE, space)
     detector = _load_detector(run)
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
     series = encoders.CheckpointSeries.load(artifact(run, ENCODERS_FILE))
-    ccfg = cfg["calibration"]
-    rate = ccfg["control_rate"] if control_rate is None else control_rate
-    result = calibration.calibrate(calib, detector, series, partition, rate,
-                                   ccfg["method"])
+    result = calibration.calibrate(calib, detector, series, partition, control_rate, method)
     return result, partition, detector, series
 
 
 def cmd_calibrate(args) -> int:
     run, cfg = _prepare_run(args)
-    result, _, _, _ = _calibrate(run, cfg, args.k)
+    dcfg = defense_config(cfg)
+    rate = dcfg.control_rate if args.k is None else args.k
+    result, _, _, _ = _calibrate(run, rate, dcfg.percentile_method)
     _dump_json(result.to_dict(), run / CALIBRATION_FILE)
-    _record_stage(
-        run, "calibrate",
-        {"control_rate": result.control_rate, "method": cfg["calibration"]["method"]},
-        [CALIB_FILE, DETECTOR_FILE, PARTITION_FILE, ENCODERS_FILE],
-        [CALIBRATION_FILE],
-    )
+    _record_stage(run, "calibrate",
+                  {"control_rate": result.control_rate, "method": dcfg.percentile_method},
+                  [CALIBRATION_FILE])
     print(f"calibrate: K={result.control_rate} epoch {result.best_epoch}"
           f" threshold {result.threshold:.6f} fnir {result.fnir_at_threshold:.4f}")
     return 0
@@ -383,7 +382,8 @@ def cmd_calibrate(args) -> int:
 def cmd_build_defense(args) -> int:
     run, cfg = _prepare_run(args)
     stored = json.loads(artifact(run, CALIBRATION_FILE).read_text(encoding="utf-8"))
-    result, partition, detector, series = _calibrate(run, cfg, stored["control_rate"])
+    result, partition, detector, series = _calibrate(
+        run, stored["control_rate"], defense_config(cfg).percentile_method)
     if result.to_dict() != stored:
         raise StageError(
             "stored calibration no longer matches a recomputation from the"
@@ -394,11 +394,7 @@ def cmd_build_defense(args) -> int:
         metadata={"control_rate": result.control_rate},
     )
     pipeline.save_bundle(bundle, run / BUNDLE_FILE)
-    _record_stage(
-        run, "build-defense", {"control_rate": result.control_rate},
-        [CALIBRATION_FILE, DETECTOR_FILE, PARTITION_FILE, ENCODERS_FILE],
-        [BUNDLE_FILE],
-    )
+    _record_stage(run, "build-defense", {"control_rate": result.control_rate}, [BUNDLE_FILE])
     print(f"build-defense: threshold {bundle.threshold:.6f},"
           f" detector {bundle.detector_id[:12]}")
     return 0
@@ -440,7 +436,6 @@ def cmd_attack(args) -> int:
     samples = _attack_candidates(test, detector, limit)
     if not samples:
         raise StageError("no detector true positives to attack in the test split")
-    inputs = [TEST_FILE, DETECTOR_FILE, PARTITION_FILE, PERTURBATIONS_FILE]
     if args.mode == "greedy":
         oracle = attacks.detector_oracle(
             detector, with_scores=acfg.target == "score-oracle"
@@ -448,7 +443,6 @@ def cmd_attack(args) -> int:
         traces = attacks.attack_suite(samples, oracle, perts, partition, acfg)
     else:
         bundle = pipeline.load_bundle(artifact(run, BUNDLE_FILE))
-        inputs.append(BUNDLE_FILE)
         traces = []
         for s in samples:
             if not attacks.has_applicable(s.vector, perts):
@@ -471,7 +465,7 @@ def cmd_attack(args) -> int:
                   {"mode": args.mode, "budget": budget, "samples": len(samples),
                    "seed": acfg.seed, "target": acfg.target,
                    "variant_count": acfg.variant_count},
-                  inputs, [out])
+                  [out])
     print(f"attack[{args.mode}]: {wins}/{len(eligible)} eligible succeeded"
           f" (asr {asr:.4f})")
     return 0
@@ -498,8 +492,7 @@ def cmd_defend(args) -> int:
         data.FORMAT_HEADER + "\n" + "".join(line + "\n" for line in lines),
         encoding="utf-8",
     )
-    _record_stage(run, "defend", {"vectors": str(args.vectors)},
-                  [DETECTOR_FILE, BUNDLE_FILE], [DEFEND_RESULTS_FILE])
+    _record_stage(run, "defend", {"vectors": str(args.vectors)}, [DEFEND_RESULTS_FILE])
     return 0
 
 
@@ -562,22 +555,14 @@ def cmd_evaluate(args) -> int:
     _dump_json(ev, run / EVALUATION_JSON)
     text = _format_evaluation(ev)
     (run / EVALUATION_TXT).write_text(text, encoding="utf-8")
-    inputs = [CALIB_FILE, DETECTOR_FILE, PARTITION_FILE, ENCODERS_FILE]
-    inputs += [name for name in (_traces_file(m) for m in ("greedy", "adaptive1",
-                                                           "adaptive2"))
-               if (run / name).exists()]
-    _record_stage(run, "evaluate", {"k_list": list(k_list)}, inputs,
-                  [EVALUATION_JSON, EVALUATION_TXT])
+    _record_stage(run, "evaluate", {"k_list": list(k_list)}, [EVALUATION_JSON, EVALUATION_TXT])
     print(text, end="")
     return 0
 
 
 def cmd_report(args) -> int:
     run, cfg = _prepare_run(args)
-    stored_path = run / EVALUATION_JSON
-    if not stored_path.exists():
-        raise StageError("no evaluation.json in the run directory; run evaluate first")
-    stored = json.loads(stored_path.read_text(encoding="utf-8"))
+    stored = json.loads(artifact(run, EVALUATION_JSON).read_text(encoding="utf-8"))
     recomputed = _evaluation(run, cfg, tuple(stored["k_list"]))
     if recomputed != stored:
         raise StageError(
@@ -585,12 +570,9 @@ def cmd_report(args) -> int:
             " an artifact changed after evaluate ran"
         )
     report = {"evaluation": recomputed}
-    det_metrics = run / DETECTOR_METRICS_FILE
-    if det_metrics.exists():
-        report["detector"] = json.loads(det_metrics.read_text(encoding="utf-8"))
-    calib_path = run / CALIBRATION_FILE
-    if calib_path.exists():
-        report["calibration"] = json.loads(calib_path.read_text(encoding="utf-8"))
+    for key, name in (("detector", DETECTOR_METRICS_FILE), ("calibration", CALIBRATION_FILE)):
+        if (run / name).exists():
+            report[key] = json.loads(artifact(run, name).read_text(encoding="utf-8"))
     _dump_json(report, run / REPORT_JSON)
     lines = ["defense evaluation (recomputed from stored traces)", ""]
     if "detector" in report:
@@ -603,7 +585,7 @@ def cmd_report(args) -> int:
     lines.append(_format_evaluation(recomputed))
     text = "\n".join(lines)
     (run / REPORT_TXT).write_text(text, encoding="utf-8")
-    _record_stage(run, "report", {}, [EVALUATION_JSON], [REPORT_JSON, REPORT_TXT])
+    _record_stage(run, "report", {}, [REPORT_JSON, REPORT_TXT])
     print(text, end="")
     return 0
 

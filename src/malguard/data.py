@@ -279,11 +279,6 @@ def read_dataset(path, space: FeatureSpace) -> Dataset:
         raise FormatError(path, 1, str(exc)) from exc
 
 
-def load_dataset(path, space_path) -> Dataset:
-    """Load a dataset file together with its vocabulary file."""
-    return read_dataset(path, load_feature_space(space_path))
-
-
 def split_time_aware(dataset: Dataset, t1: int, t2: int) -> tuple[Dataset, Dataset, Dataset]:
     """Split by timestamp: train ts < t1, calibration t1 <= ts < t2, test ts >= t2."""
     if not t1 <= t2:

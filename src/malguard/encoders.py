@@ -79,6 +79,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON configs give 0 for 0.0 and lists for tuples; keep one form of each.
+        object.__setattr__(self, "dropout", float(self.dropout))
+        object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
@@ -248,7 +251,6 @@ def build_batch(
     """Assemble one explicit, seed-deterministic batch (used by tests and checks)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = dataset.matrix()
-    ps, ips = partition.ps_array(), partition.ips_array()
     benign_pos = dataset.label_positions(BENIGN)
     mal_pos = dataset.label_positions(MALICIOUS)
     by_source: dict[str, list[int]] = {}
@@ -264,14 +266,20 @@ def build_batch(
     pm_sources = [sources[i] for i in picked]
     pm_idx = [by_source[s][rng.integers(len(by_source[s]))] for s in pm_sources]
     pm_mal = [mal_by_id[s] for s in pm_sources]
-    px = vectors_matrix([pseudo[i].vector for i in pm_idx], partition.dim)
-    ps_inputs = np.vstack(
-        [_restrict(x[bi], ps), _restrict(x[mi], ps), _restrict(px, ps), _restrict(x[pm_mal], ps)]
-    )
-    ips_inputs = np.vstack(
-        [_restrict(x[bi], ips), _restrict(x[mi], ips), _restrict(px, ips), _restrict(x[pm_mal], ips)]
-    )
-    return LossBatch(ps_inputs, ips_inputs, len(bi), len(pm_idx))
+    px = vectors_matrix([p.vector for p in pseudo], partition.dim)
+    columns = (partition.ps_array(), partition.ips_array())
+    return _assemble(x, px, columns, bi, mi, pm_idx, pm_mal)
+
+
+def _assemble(x, px, columns, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
+    """Stack the four row groups of a :class:`LossBatch` for both encoders.
+
+    *rows_p* index the pseudo matrix *px*, the other groups index *x*, and
+    *columns* holds the PS and the IPS column indices.
+    """
+    groups = (x[rows_b], x[rows_m2], px[rows_p], x[rows_m3])
+    ps_inputs, ips_inputs = (np.vstack([_restrict(g, cols) for g in groups]) for cols in columns)
+    return LossBatch(ps_inputs, ips_inputs, len(rows_b), len(rows_p))
 
 
 class CheckpointSeries:
@@ -353,7 +361,7 @@ def train(
 
     x = train_set.matrix()
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
-    ps, ips = partition.ps_array(), partition.ips_array()
+    columns = (partition.ps_array(), partition.ips_array())
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, *epoch_ss = root.spawn(cfg.epochs + 1)
@@ -374,28 +382,11 @@ def train(
         pm_chunks = np.array_split(rng.permutation(len(sources)), n_batches)
         losses = []
         for bi in range(n_batches):
-            rows_b = benign_pos[order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]]
-            rows_m2 = partners[order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]]
+            rows = order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
             pm = pm_chunks[bi]
-            rows_p = pm_pseudo[pm]
-            rows_m3 = source_rows[pm]
-            ps_inputs = np.vstack(
-                [
-                    _restrict(x[rows_b], ps),
-                    _restrict(x[rows_m2], ps),
-                    _restrict(px[rows_p], ps),
-                    _restrict(x[rows_m3], ps),
-                ]
+            batch = _assemble(
+                x, px, columns, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
             )
-            ips_inputs = np.vstack(
-                [
-                    _restrict(x[rows_b], ips),
-                    _restrict(x[rows_m2], ips),
-                    _restrict(px[rows_p], ips),
-                    _restrict(x[rows_m3], ips),
-                ]
-            )
-            batch = LossBatch(ps_inputs, ips_inputs, len(rows_b), len(pm))
             loss, _, grads = batch_loss(
                 pair, batch, cfg.margin, cfg.lambdas, cfg.dropout, rng
             )

@@ -2,8 +2,10 @@
 
 Building runs four stages: quantify the perturbable space, generate
 pseudo-adversarial samples against the protected detector, train the
-contrastive encoders, and calibrate a threshold on held-out data. The
-resulting bundle embeds everything detection needs.
+contrastive encoders, and calibrate a threshold on held-out data. Each stage
+is one function named after the CLI verb that runs it, and :func:`build`
+is their composition. The resulting bundle embeds everything detection
+needs.
 
 Detection never second-guesses a malicious verdict: a vector the detector
 flags is returned as malicious untouched. Only detector-benign vectors are
@@ -15,6 +17,7 @@ defense can only move benign verdicts to malicious.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 from malguard import calibration, detectors, encoders, pseudo, quantify, storage
@@ -72,64 +75,76 @@ class AuditRecord:
     score: float | None
 
 
-def build(
-    train: Dataset,
-    calib: Dataset,
-    detector,
-    perturbations,
-    quant_apps,
-    cfg: DefenseConfig,
-) -> DefenseBundle:
-    """Assemble a defense bundle; every stage failure is tagged with its stage."""
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside as a :class:`BuildError` tagged *name*."""
     try:
-        partition = quantify.quantify(train.space, quant_apps, perturbations)
+        yield
     except Exception as exc:
-        raise BuildError("space-quant", str(exc)) from exc
-    if not partition.ps:
-        raise BuildError(
-            "space-quant",
-            "quantification found no perturbable features; check the perturbation set",
-        )
+        raise BuildError(name, str(exc)) from exc
 
-    mal_train = train.by_label(MALICIOUS)
-    try:
+
+def quantify_space(space, quant_apps, perturbations) -> SpacePartition:
+    """Stage ``quantify``: the perturbable/imperturbable partition of *space*."""
+    with _stage("quantify"):
+        partition = quantify.quantify(space, quant_apps, perturbations)
+    if not partition.ps:
+        raise BuildError("quantify", "quantification found no perturbable features;"
+                                     " check the perturbation set")
+    return partition
+
+
+def gen_pseudo(
+    sources, detector, partition: SpacePartition, cfg: DefenseConfig
+) -> list[pseudo.PseudoAdvSample]:
+    """Stage ``gen-pseudo``: detector-benign variants of the malicious *sources*."""
+    with _stage("gen-pseudo"):
         pam = pseudo.generate(
-            mal_train,
-            detector,
-            partition,
-            budget=cfg.pseudo_budget,
-            flip_limit=cfg.pseudo_flip_limit,
-            seed=cfg.stage_seed("pseudo-adv"),
+            sources, detector, partition, budget=cfg.pseudo_budget,
+            flip_limit=cfg.pseudo_flip_limit, seed=cfg.stage_seed("gen-pseudo"),
             mode=cfg.pseudo_mode,
         )
-    except Exception as exc:
-        raise BuildError("pseudo-adv", str(exc)) from exc
     if not pam:
         raise BuildError(
-            "pseudo-adv",
-            "no pseudo-adversarial sample was generated within the attempt budget;"
-            " raise the budget or verify the detector and partition",
+            "gen-pseudo",
+            f"none of the {len(sources)} sources produced a pseudo-adversarial sample"
+            " within the attempt budget; raise the budget or verify the detector"
+            " and partition",
         )
+    return pam
 
+
+def train_encoders(
+    train: Dataset, pam, partition: SpacePartition, cfg: DefenseConfig
+) -> encoders.CheckpointSeries:
+    """Stage ``train-encoders``: one encoder-pair checkpoint per epoch."""
     enc_cfg = replace(cfg.encoder, seed=cfg.stage_seed("train-encoders"))
-    try:
-        series = encoders.train(train, pam, partition, enc_cfg)
-    except Exception as exc:
-        raise BuildError("train-encoders", str(exc)) from exc
+    with _stage("train-encoders"):
+        return encoders.train(train, pam, partition, enc_cfg)
 
-    try:
+
+def build(train: Dataset, calib: Dataset, detector, perturbations, quant_apps,
+          cfg: DefenseConfig) -> DefenseBundle:
+    """Assemble a defense bundle; every stage failure is tagged with its stage.
+
+    The stages are the functions the CLI verbs of the same names call, so one
+    config gives the same bundle either way.
+    """
+    partition = quantify_space(train.space, quant_apps, perturbations)
+    sources = train.by_label(MALICIOUS)
+    pam = gen_pseudo(sources, detector, partition, cfg)
+    series = train_encoders(train, pam, partition, cfg)
+    with _stage("calibrate"):
         result = calibration.calibrate(
             calib, detector, series, partition, cfg.control_rate, cfg.percentile_method
         )
-    except Exception as exc:
-        raise BuildError("calibrate", str(exc)) from exc
 
     metadata = {
         "config": json.loads(json.dumps(asdict(cfg))),  # tuples as lists
         "train_fingerprint": train.fingerprint(),
         "calib_fingerprint": calib.fingerprint(),
         "pseudo_generated": len(pam),
-        "pseudo_sources": len(mal_train),
+        "pseudo_sources": len(sources),
         "epoch_losses": series.epoch_losses,
         "calibration_table": result.to_dict()["table"],
     }

@@ -89,9 +89,7 @@ def generate(
     return out
 
 
-def to_dataset(
-    pseudo: list[PseudoAdvSample], sources: list[Sample], space_dim_check=None
-) -> list[Sample]:
+def to_dataset(pseudo: list[PseudoAdvSample], sources: list[Sample]) -> list[Sample]:
     """Materialize pseudo-adversarial samples as malicious-labeled records.
 
     Each record keeps its source's timestamp and carries the source id, which

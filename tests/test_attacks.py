@@ -69,9 +69,10 @@ def test_greedy_respects_budget_and_counts_queries():
     assert trace.success
     assert trace.queries_used == len(calls) <= 10
     assert not det.is_malicious(trace.final_vector)
-    # applied ids recorded in commit order and reproducible via replay
-    replayed = attacks.replay(trace, src, toy_perts(), 8)
-    assert replayed.as_set() == trace.final_vector.as_set()
+    # applied ids recorded in commit order; the final vector replays from them
+    adds = {p.id: p.adds for p in toy_perts()}
+    replayed = src.vector.as_set().union(*(adds[pid] for pid in trace.applied))
+    assert replayed == trace.final_vector.as_set()
 
 
 def test_greedy_only_adds_perturbable_bits():

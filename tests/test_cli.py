@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from malguard import attacks, calibration, cli, data, detectors, encoders, pipeline
-from malguard import quantify, storage, synthetic
+from malguard import problem_space, pseudo, quantify, storage, synthetic
 
 
 TINY = {
@@ -44,31 +44,49 @@ def run_verbs(run_dir, config_path, verbs):
         assert code == 0, f"{verb} exited {code}"
 
 
+CHAIN = [
+    ["synth"],
+    ["split"],
+    ["train-detector"],
+    ["quantify"],
+    ["gen-pseudo"],
+    ["train-encoders"],
+    ["calibrate"],
+    ["build-defense"],
+    ["attack", "--mode", "greedy"],
+    ["attack", "--mode", "adaptive1"],
+    ["attack", "--mode", "adaptive2"],
+    ["evaluate"],
+    ["report"],
+]
+
+
 @pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
+def chain(tmp_path_factory):
+    """The TINY chain's run directory, config, and the names each stage passed to artifact()."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "exp.json"
     config.write_text(json.dumps(TINY))
     run = root / "run"
-    run_verbs(
-        run,
-        config,
-        [
-            ["synth"],
-            ["split"],
-            ["train-detector"],
-            ["quantify"],
-            ["gen-pseudo"],
-            ["train-encoders"],
-            ["calibrate"],
-            ["build-defense"],
-            ["attack", "--mode", "greedy"],
-            ["attack", "--mode", "adaptive1"],
-            ["attack", "--mode", "adaptive2"],
-            ["evaluate"],
-            ["report"],
-        ],
-    )
+    reads = {}
+    real = cli.artifact
+
+    def noting(run_path, name):
+        names.add(name)
+        return real(run_path, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "artifact", noting)
+        for verb in CHAIN:
+            stage = f"attack-{verb[2]}" if verb[0] == "attack" else verb[0]
+            names = reads[stage] = set()
+            run_verbs(run, config, [verb])
+    return run, config, reads
+
+
+@pytest.fixture(scope="module")
+def run_dir(chain):
+    run, config, _ = chain
     return run, config
 
 
@@ -119,6 +137,51 @@ def test_manifest_records_stage_digests(run_dir):
         assert digest == storage.file_sha256(run / name)
     # stages record their parameters, seed included
     assert "seed" in stages["train-detector"]["params"]
+
+
+def test_manifest_inputs_are_the_files_each_verb_read(chain):
+    run, _, reads = chain
+    stages = json.loads((run / cli.MANIFEST_FILE).read_text())["stages"]
+    assert set(reads) <= set(stages)
+    for stage, names in reads.items():
+        assert set(stages[stage]["inputs"]) == names, stage
+    assert {cli.SPACE_FILE, cli.CALIB_FILE} <= set(stages["build-defense"]["inputs"])
+    assert cli.TEST_FILE in stages["train-detector"]["inputs"]
+    assert cli.ENCODERS_FILE in stages["report"]["inputs"]
+    for stage, entry in stages.items():
+        for name, digest in {**entry["inputs"], **entry["outputs"]}.items():
+            assert digest == storage.file_sha256(run / name), (stage, name)
+
+
+def test_pipeline_build_equals_the_cli_chain(run_dir):
+    run, _ = run_dir
+    cfg = json.loads((run / cli.CONFIG_FILE).read_text())
+    space = data.load_feature_space(run / cli.SPACE_FILE)
+    train, calib = (data.read_dataset(run / name, space)
+                    for name in (cli.TRAIN_FILE, cli.CALIB_FILE))
+    detector, _ = detectors.load_model(run / cli.DETECTOR_FILE)
+    perts = problem_space.load_perturbations(run / cli.PERTURBATIONS_FILE)
+    apps = problem_space.builtin_quantification_apps(space.dim, space.index_of("main_activity"))
+    built = pipeline.build(train, calib, detector, perts, apps, cli.defense_config(cfg))
+    stored = pipeline.load_bundle(run / cli.BUNDLE_FILE)
+    assert encoders.pair_digest(built.pair) == encoders.pair_digest(stored.pair)
+    assert built.calibration == stored.calibration
+    assert built.threshold == stored.threshold
+    series = encoders.CheckpointSeries.load(run / cli.ENCODERS_FILE)
+    assert built.metadata["epoch_losses"] == series.epoch_losses
+
+
+def test_gen_pseudo_fails_when_no_sample_is_accepted(run_dir, tmp_path, monkeypatch, capsys):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    before = {name: (copy / name).read_bytes() for name in (cli.MANIFEST_FILE, cli.PSEUDO_FILE)}
+    monkeypatch.setattr(pseudo, "generate", lambda *args, **kwargs: [])
+    code = cli.main(["gen-pseudo", "--run-dir", str(copy), "--config", str(config)])
+    assert code == 1
+    assert "error [gen-pseudo]" in capsys.readouterr().err
+    # nothing is written or recorded for the failed stage
+    assert {name: (copy / name).read_bytes() for name in before} == before
 
 
 def test_quantified_partition_matches_ground_truth(run_dir):
@@ -391,20 +454,25 @@ def test_report_recomputes_bit_identical(run_dir, capsys):
     assert "attack: greedy" in out
 
 
-def test_report_detects_tampered_evaluation(run_dir, capsys):
+def test_report_detects_tampered_evaluation(run_dir, tmp_path, capsys):
     run, config = run_dir
-    path = run / cli.EVALUATION_JSON
-    original = path.read_text()
-    doc = json.loads(original)
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    path = copy / cli.EVALUATION_JSON
+    doc = json.loads(path.read_text())
     doc["attacks"]["greedy"][0]["ndasr"] = 0.123456
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    try:
-        code = cli.main(["report", "--run-dir", str(run), "--config", str(config)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error [report]" in err
-    finally:
-        path.write_text(original)
+    argv = ["report", "--run-dir", str(copy), "--config", str(config)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error [report]" in err and "no longer matches the digest" in err
+    # with the digest re-recorded, the recomputation still catches it
+    manifest = json.loads((copy / cli.MANIFEST_FILE).read_text())
+    manifest["stages"]["evaluate"]["outputs"][cli.EVALUATION_JSON] = storage.file_sha256(path)
+    (copy / cli.MANIFEST_FILE).write_text(json.dumps(manifest))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error [report]" in err and "does not match recomputation" in err
 
 
 def test_stage_fails_cleanly_without_inputs(tmp_path, capsys):

@@ -12,8 +12,8 @@ from malguard.data import (
     FeatureVector,
     FormatError,
     Sample,
-    load_dataset,
     load_feature_space,
+    read_dataset,
     save_dataset,
     save_feature_space,
     split_random,
@@ -125,7 +125,7 @@ def test_dataset_round_trip_bytes(tmp_path):
     save_feature_space(ds.space, sp)
     save_dataset(ds, dp)
     first = dp.read_bytes()
-    back = load_dataset(dp, sp)
+    back = read_dataset(dp, load_feature_space(sp))
     assert back.fingerprint() == ds.fingerprint()
     assert [s.ts for s in back.samples] == [s.ts for s in ds.samples]
     save_dataset(back, dp)
@@ -143,7 +143,7 @@ def test_load_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"id": "a"}\n')
     with pytest.raises(FormatError) as err:
-        load_dataset(p, p)
+        read_dataset(p, load_feature_space(p))
     assert "bad.jsonl" in str(err.value)
 
 
@@ -156,7 +156,7 @@ def test_load_reports_offending_line(tmp_path):
     lines[2] = "not json"
     dp.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError) as err:
-        load_dataset(dp, sp)
+        read_dataset(dp, load_feature_space(sp))
     assert err.value.line_no == 3
 
 

@@ -220,6 +220,17 @@ def test_series_round_trip_bytes(tmp_path):
     assert p.read_bytes() == first
 
 
+def test_series_round_trip_bytes_with_integer_dropout(tmp_path):
+    # a JSON config gives a dropout of 0 as the integer 0
+    ds, part, pam = tiny_setup(seed=8)
+    cfg = TrainConfig(epochs=1, embed_dim=4, width_factor=2, max_hidden=8, dropout=0, seed=1)
+    p = tmp_path / "series.zip"
+    encoders.train(ds, pam, part, cfg).save(p)
+    first = p.read_bytes()
+    CheckpointSeries.load(p).save(p)
+    assert p.read_bytes() == first
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -4,7 +4,7 @@ import pytest
 
 from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample
 from malguard.detectors import LinearModel, train_linear
-from malguard import detectors, encoders, pipeline
+from malguard import detectors, encoders, pipeline, pseudo
 from malguard.pipeline import BuildError, DefenseConfig
 from malguard.problem_space import AppModel, Perturbation
 from malguard.quantify import SpacePartition
@@ -145,8 +145,8 @@ def test_build_errors_carry_stage_tags():
     detector = train_linear(train, seed=1)
     with pytest.raises(BuildError) as err:
         pipeline.build(train, calib, detector, [], apps, small_config())
-    assert err.value.stage == "space-quant"
-    assert "[stage:space-quant]" in str(err.value)
+    assert err.value.stage == "quantify"
+    assert "[stage:quantify]" in str(err.value)
 
     # a detector nothing can evade starves pseudo-adversarial generation
     stubborn = LinearModel(np.zeros(ds.space.dim), 1.0)
@@ -164,7 +164,17 @@ def test_build_errors_carry_stage_tags():
 
     with pytest.raises(BuildError) as err:
         pipeline.build(train, calib, AlwaysMal(), perts, apps, small_config())
-    assert err.value.stage in ("pseudo-adv", "calibrate")
+    assert err.value.stage in ("gen-pseudo", "calibrate")
+
+
+def test_build_fails_at_gen_pseudo_when_no_sample_is_accepted(monkeypatch):
+    ds, perts, apps = planted_world()
+    train, calib = ds.subset(range(0, 160)), ds.subset(range(160, 240))
+    detector = train_linear(train, seed=1)
+    monkeypatch.setattr(pseudo, "generate", lambda *args, **kwargs: [])
+    with pytest.raises(BuildError) as err:
+        pipeline.build(train, calib, detector, perts, apps, small_config())
+    assert err.value.stage == "gen-pseudo"
 
 
 def test_bundle_from_calibration_selects_best_epoch(built):
