@@ -19,14 +19,14 @@ the attack results: (asr_before - asr_after) / asr_before.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from malguard import encoders, pipeline, pseudo, storage
 from malguard.data import (
-    FORMAT_HEADER, MALICIOUS, Dataset, FeatureVector, FormatError, Sample, vectors_matrix,
+    MALICIOUS, Dataset, FeatureVector, FormatError, Sample, int_list, read_records,
+    vectors_matrix, write_records,
 )
 from malguard.problem_space import Perturbation
 from malguard.quantify import SpacePartition
@@ -320,42 +320,32 @@ def evaluate_defense(traces: list[AttackTrace], bundles) -> EvalReport:
 
 
 def save_traces(traces: list[AttackTrace], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for t in traces:
-            rec = {
-                "sample_id": t.sample_id,
-                "success": t.success,
-                "queries_used": t.queries_used,
-                "final": list(t.final_vector.indices),
-                "applied": list(t.applied),
-                "eligible": t.eligible,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(path, (
+        {"sample_id": t.sample_id, "success": t.success, "queries_used": t.queries_used,
+         "final": list(t.final_vector.indices), "applied": list(t.applied),
+         "eligible": t.eligible}
+        for t in traces
+    ))
+
+
+_TRACE_KEYS = ("sample_id", "success", "queries_used", "final", "applied", "eligible")
 
 
 def load_traces(path, dim: int) -> list[AttackTrace]:
     traces = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != FORMAT_HEADER:
-            raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
-        for line_no, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                raise FormatError(path, line_no, "blank line in trace file")
-            try:
-                rec = json.loads(raw)
-                traces.append(
-                    AttackTrace(
-                        sample_id=rec["sample_id"],
-                        success=bool(rec["success"]),
-                        queries_used=int(rec["queries_used"]),
-                        final_vector=FeatureVector.make(rec["final"], dim),
-                        applied=tuple(rec["applied"]),
-                        eligible=bool(rec["eligible"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise FormatError(path, line_no, f"invalid trace record: {exc}") from exc
+    for line_no, rec in read_records(path, "trace", _TRACE_KEYS):
+        if type(rec["success"]) is not bool or type(rec["eligible"]) is not bool:
+            raise FormatError(path, line_no, "success and eligible must be booleans")
+        if type(rec["queries_used"]) is not int or rec["queries_used"] < 0:
+            raise FormatError(path, line_no, "queries_used must be a non-negative integer")
+        applied = rec["applied"]
+        if not isinstance(applied, list) or not all(type(a) is str for a in applied):
+            raise FormatError(path, line_no, "applied must be a list of strings")
+        final = int_list(rec, "final", path, line_no)
+        try:
+            final = FeatureVector.make(final, dim)
+        except ValueError as exc:
+            raise FormatError(path, line_no, f"invalid trace record: {exc}") from exc
+        traces.append(AttackTrace(rec["sample_id"], rec["success"], rec["queries_used"],
+                                  final, tuple(applied), rec["eligible"]))
     return traces

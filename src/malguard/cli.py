@@ -477,21 +477,15 @@ def cmd_defend(args) -> int:
     vectors = data.read_dataset(Path(args.vectors), space)
     detector = _load_detector(run)
     bundle = pipeline.load_bundle(artifact(run, BUNDLE_FILE))
-    lines = []
+    records = []
     for s, audit in zip(vectors.samples, pipeline.defended_run(bundle, detector, vectors)):
         label = audit.final_label
         score = "-" if audit.score is None else f"{audit.score:.6f}"
         revisited = "yes" if audit.revisited else "no"
         print(f"{s.id} {label} score={score} revisited={revisited}")
-        lines.append(json.dumps(
-            {"id": s.id, "label": label,
-             "score": audit.score, "revisited": audit.revisited},
-            sort_keys=True, separators=(",", ":"),
-        ))
-    (run / DEFEND_RESULTS_FILE).write_text(
-        data.FORMAT_HEADER + "\n" + "".join(line + "\n" for line in lines),
-        encoding="utf-8",
-    )
+        records.append({"id": s.id, "label": label,
+                        "score": audit.score, "revisited": audit.revisited})
+    data.write_records(run / DEFEND_RESULTS_FILE, records)
     _record_stage(run, "defend", {"vectors": str(args.vectors)}, [DEFEND_RESULTS_FILE])
     return 0
 
@@ -523,10 +517,6 @@ def _evaluation(run: RunDir, cfg: dict, k_list) -> dict:
         for mode, mode_traces in traces.items()
     }
     return {"k_list": list(k_list), "attacks": tables}
-
-
-_COLUMNS = ("K", "threshold", "best_epoch", "tnir", "fnir",
-            "asr_before", "asr_after", "ndasr")
 
 
 def _format_evaluation(ev: dict) -> str:
@@ -636,7 +626,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StageError, pipeline.BuildError, data.FormatError,
             calibration.CalibrationError, ValueError, OSError) as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
+        # a stage's BuildError already names the verb; name it once
+        detail = str(exc).removeprefix(f"[stage:{args.command}] ")
+        print(f"error [{args.command}]: {detail}", file=sys.stderr)
         return 1
 
 

@@ -5,14 +5,16 @@ versioned header line ``#addfmt v1``:
 
 * vocabulary file: one feature name per line; line order defines the index
   space;
-* dataset file: one JSON record per line with keys ``id``, ``label``
-  (``benign`` or ``malicious``), ``ts`` (integer epoch seconds) and
+* record files: one JSON object per line with sorted keys and no spaces.
+  :func:`write_records` is their only writer and :func:`read_records`
+  their only reader; a dataset file holds records with keys ``id``,
+  ``label`` (``benign`` or ``malicious``), ``ts`` (integer epoch seconds) and
   ``features`` (list of active feature indices), plus an optional
   ``source_id`` for derived samples.
 
-Loading validates every record against the vocabulary and reports the
-offending line on failure. Saving writes records with canonical key order,
-so a load -> save round-trip of a saved file is byte identical.
+Loading validates every record and reports the offending line on failure.
+Records are written in canonical form, so a load -> save round-trip of a
+saved file is byte identical.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ LABELS = (BENIGN, MALICIOUS)
 
 
 class FormatError(ValueError):
-    """Malformed vocabulary/dataset/perturbation file contents."""
+    """Malformed vocabulary or record file contents."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
@@ -42,9 +44,56 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def _check_header(line: str, path, line_no: int = 1) -> None:
-    if line.rstrip("\n") != FORMAT_HEADER:
-        raise FormatError(path, line_no, f"missing header {FORMAT_HEADER!r}")
+def format_records(records) -> str:
+    """The header line and one canonical JSON line per record."""
+    lines = [FORMAT_HEADER]
+    lines.extend(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+def write_records(path, records) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_records(records))
+
+
+def read_records(path, what: str, keys, optional=()):
+    """Yield ``(line_no, record)`` for each record of a *what* file.
+
+    Checks the header, that no line is blank, that each line is a JSON
+    object, and that each object has every key of *keys*, no key outside
+    *keys* and *optional*.
+    """
+    required = frozenset(keys)
+    allowed = required | frozenset(optional)
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != FORMAT_HEADER:
+            raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
+        for line_no, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if not raw:
+                raise FormatError(path, line_no, f"blank line in {what} file")
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise FormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise FormatError(path, line_no, "record must be a JSON object")
+            if rec.keys() != required:
+                unknown = rec.keys() - allowed
+                if unknown:
+                    raise FormatError(path, line_no, f"unknown record keys: {sorted(unknown)}")
+                missing = required - rec.keys()
+                if missing:
+                    raise FormatError(path, line_no, f"missing record keys: {sorted(missing)}")
+            yield line_no, rec
+
+
+def int_list(rec: dict, key: str, path, line_no: int) -> list[int]:
+    """``rec[key]``, checked to be a list of JSON integers."""
+    vals = rec[key]
+    if not isinstance(vals, list) or not all(type(i) is int for i in vals):
+        raise FormatError(path, line_no, f"{key} must be a list of integers")
+    return vals
 
 
 @dataclass(frozen=True)
@@ -94,9 +143,6 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.int64)
-
-    def union(self, extra, dim: int) -> "FeatureVector":
-        return FeatureVector.make(set(self.indices) | set(extra), dim)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -161,7 +207,8 @@ class Dataset:
 
     def fingerprint(self) -> str:
         """Digest of the canonical serialization; identifies dataset content."""
-        return storage.sha256_hex(_serialize_dataset(self).encode("utf-8"))
+        records = map(_record_dict, self.samples)
+        return storage.sha256_hex(format_records(records).encode("utf-8"))
 
 
 def vectors_matrix(vectors, dim: int) -> sparse.csr_matrix:
@@ -201,6 +248,9 @@ def load_feature_space(path) -> FeatureSpace:
         raise FormatError(path, 1, str(exc)) from exc
 
 
+_RECORD_KEYS = ("id", "label", "ts", "features")
+
+
 def _record_dict(sample: Sample) -> dict:
     rec = {
         "id": sample.id,
@@ -213,66 +263,29 @@ def _record_dict(sample: Sample) -> dict:
     return rec
 
 
-def _serialize_dataset(dataset: Dataset) -> str:
-    lines = [FORMAT_HEADER]
-    for s in dataset.samples:
-        lines.append(json.dumps(_record_dict(s), sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
-
-
 def save_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_serialize_dataset(dataset))
-
-
-_RECORD_KEYS = {"id", "label", "ts", "features", "source_id"}
-
-
-def _parse_record(raw: str, space: FeatureSpace, path, line_no: int) -> Sample:
-    try:
-        rec = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(rec, dict):
-        raise FormatError(path, line_no, "record must be a JSON object")
-    unknown = set(rec) - _RECORD_KEYS
-    if unknown:
-        raise FormatError(path, line_no, f"unknown record keys: {sorted(unknown)}")
-    for key in ("id", "label", "ts", "features"):
-        if key not in rec:
-            raise FormatError(path, line_no, f"missing record key {key!r}")
-    feats = rec["features"]
-    if not isinstance(feats, list) or any(
-        isinstance(i, bool) or not isinstance(i, int) for i in feats
-    ):
-        raise FormatError(path, line_no, "features must be a list of integers")
-    if len(set(feats)) != len(feats):
-        raise FormatError(path, line_no, "duplicate feature indices in record")
-    if any(i < 0 or i >= space.dim for i in feats):
-        raise FormatError(path, line_no, f"feature index out of range [0, {space.dim})")
-    try:
-        return Sample(
-            id=rec["id"],
-            vector=FeatureVector.make(feats, space.dim),
-            label=rec["label"],
-            ts=rec["ts"],
-            source_id=rec.get("source_id"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(path, line_no, str(exc)) from exc
+    write_records(path, map(_record_dict, dataset.samples))
 
 
 def read_dataset(path, space: FeatureSpace) -> Dataset:
     """Parse a dataset file against an already-loaded vocabulary."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        _check_header(first, path)
-        for line_no, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                raise FormatError(path, line_no, "blank line in dataset file")
-            samples.append(_parse_record(raw, space, path, line_no))
+    for line_no, rec in read_records(path, "dataset", _RECORD_KEYS, ("source_id",)):
+        feats = int_list(rec, "features", path, line_no)
+        if len(set(feats)) != len(feats):
+            raise FormatError(path, line_no, "duplicate feature indices in record")
+        if any(i < 0 or i >= space.dim for i in feats):
+            raise FormatError(path, line_no, f"feature index out of range [0, {space.dim})")
+        try:
+            samples.append(Sample(
+                id=rec["id"],
+                vector=FeatureVector.make(feats, space.dim),
+                label=rec["label"],
+                ts=rec["ts"],
+                source_id=rec.get("source_id"),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(path, line_no, str(exc)) from exc
     try:
         return Dataset(space, tuple(samples))
     except ValueError as exc:

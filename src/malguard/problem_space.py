@@ -6,16 +6,15 @@ and every index in ``forbids`` must be absent. Applying a perturbation never
 removes features, so feature growth is monotone and application of the same
 perturbation is idempotent.
 
-Perturbation-set files are line-delimited JSON under the ``#addfmt v1``
-header with keys id, kind, adds, requires, forbids.
+Perturbation-set files are :mod:`malguard.data` record files with keys id,
+kind, adds, requires, forbids.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from malguard.data import FORMAT_HEADER, FeatureVector, FormatError
+from malguard.data import FeatureVector, FormatError, int_list, read_records, write_records
 
 
 class InapplicableError(ValueError):
@@ -51,10 +50,6 @@ class AppModel:
     base: FeatureVector
     dim: int
     applied: tuple[Perturbation, ...] = ()
-
-    @property
-    def applied_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.applied)
 
     def effective(self) -> frozenset[int]:
         active = set(self.base.indices)
@@ -97,58 +92,28 @@ def builtin_quantification_apps(dim: int, main_activity: int) -> list[AppModel]:
 
 
 def save_perturbations(perturbations, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        for p in perturbations:
-            rec = {
-                "id": p.id,
-                "kind": p.kind,
-                "adds": sorted(p.adds),
-                "requires": sorted(p.requires),
-                "forbids": sorted(p.forbids),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(path, (
+        {"id": p.id, "kind": p.kind, "adds": sorted(p.adds),
+         "requires": sorted(p.requires), "forbids": sorted(p.forbids)}
+        for p in perturbations
+    ))
 
 
-_PERT_KEYS = {"id", "kind", "adds", "requires", "forbids"}
+_PERT_KEYS = ("id", "kind", "adds", "requires", "forbids")
 
 
 def load_perturbations(path) -> list[Perturbation]:
     perturbations = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != FORMAT_HEADER:
-            raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
-        for line_no, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                raise FormatError(path, line_no, "blank line in perturbation file")
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict) or set(rec) != _PERT_KEYS:
-                raise FormatError(path, line_no, f"record keys must be {sorted(_PERT_KEYS)}")
-            for key in ("adds", "requires", "forbids"):
-                vals = rec[key]
-                if not isinstance(vals, list) or any(
-                    isinstance(i, bool) or not isinstance(i, int) for i in vals
-                ):
-                    raise FormatError(path, line_no, f"{key} must be a list of integers")
-            if rec["id"] in seen:
-                raise FormatError(path, line_no, f"duplicate perturbation id {rec['id']!r}")
-            seen.add(rec["id"])
-            try:
-                perturbations.append(
-                    Perturbation(
-                        id=rec["id"],
-                        kind=rec["kind"],
-                        adds=frozenset(rec["adds"]),
-                        requires=frozenset(rec["requires"]),
-                        forbids=frozenset(rec["forbids"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise FormatError(path, line_no, str(exc)) from exc
+    for line_no, rec in read_records(path, "perturbation", _PERT_KEYS):
+        adds, requires, forbids = (
+            frozenset(int_list(rec, key, path, line_no)) for key in ("adds", "requires", "forbids")
+        )
+        if rec["id"] in seen:
+            raise FormatError(path, line_no, f"duplicate perturbation id {rec['id']!r}")
+        seen.add(rec["id"])
+        try:
+            perturbations.append(Perturbation(rec["id"], rec["kind"], adds, requires, forbids))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(path, line_no, str(exc)) from exc
     return perturbations

@@ -11,7 +11,6 @@ never reveal its delta.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from malguard import problem_space, storage
-from malguard.data import FORMAT_HEADER, FeatureSpace, FormatError
+from malguard.data import FeatureSpace, FormatError, int_list, read_records, write_records
 
 log = logging.getLogger(__name__)
 
@@ -113,26 +112,22 @@ def quantify(
 
 
 def save_partition(partition: SpacePartition, path) -> None:
-    doc = {"dim": partition.dim, "ips": list(partition.ips), "ps": list(partition.ps)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FORMAT_HEADER + "\n")
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(path, [{"dim": partition.dim, "ips": list(partition.ips),
+                          "ps": list(partition.ps)}])
 
 
 def load_partition(path) -> SpacePartition:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != FORMAT_HEADER:
-            raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
-        try:
-            doc = json.loads(fh.readline())
-        except json.JSONDecodeError as exc:
-            raise FormatError(path, 2, f"invalid JSON: {exc.msg}") from exc
+    """The partition of a file holding exactly one record."""
+    records = list(read_records(path, "partition", ("dim", "ips", "ps")))
+    if len(records) != 1:
+        # line 2 is the missing record, line 3 the first extra one
+        raise FormatError(path, 3 if records else 2,
+                          f"partition file must hold one record, found {len(records)}")
+    line_no, rec = records[0]
+    if type(rec["dim"]) is not int:
+        raise FormatError(path, line_no, "dim must be an integer")
+    ps, ips = (tuple(int_list(rec, key, path, line_no)) for key in ("ps", "ips"))
     try:
-        return SpacePartition(
-            tuple(int(i) for i in doc["ps"]),
-            tuple(int(i) for i in doc["ips"]),
-            int(doc["dim"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(path, 2, f"invalid partition document: {exc}") from exc
+        return SpacePartition(ps, ips, rec["dim"])
+    except ValueError as exc:
+        raise FormatError(path, line_no, f"invalid partition document: {exc}") from exc

@@ -1,11 +1,14 @@
 """Query-budgeted evasion, trace replay, defense scoring of stored attacks."""
+import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample
+from malguard.data import (
+    BENIGN, FORMAT_HEADER, MALICIOUS, Dataset, FeatureSpace, FeatureVector, FormatError, Sample,
+)
 from malguard.detectors import LinearModel
 from malguard import attacks, calibration, encoders, pipeline
 from malguard.attacks import AttackConfig, AttackTrace
@@ -174,6 +177,26 @@ def test_traces_round_trip(tmp_path):
     assert back == traces
     attacks.save_traces(back, p)
     assert p.read_bytes() == first
+
+
+@pytest.mark.parametrize("field", [
+    {"success": "false"},
+    {"eligible": "no"},
+    {"queries_used": 2.9},
+    {"queries_used": -1},
+    {"queries_used": True},
+    {"final": [0.5]},
+    {"applied": [1]},
+    {"applied": "p"},
+])
+def test_load_traces_rejects_mistyped_fields(tmp_path, field):
+    rec = {"sample_id": "m0", "success": True, "queries_used": 2, "final": [0, 1],
+           "applied": ["p"], "eligible": True}
+    p = tmp_path / "traces.jsonl"
+    p.write_text(f"{FORMAT_HEADER}\n{json.dumps(rec)}\n{json.dumps(rec | field)}\n")
+    with pytest.raises(FormatError) as err:
+        attacks.load_traces(p, dim=8)
+    assert err.value.line_no == 3
 
 
 def tiny_bundle(det, part, scale=0.0):

@@ -179,9 +179,32 @@ def test_gen_pseudo_fails_when_no_sample_is_accepted(run_dir, tmp_path, monkeypa
     monkeypatch.setattr(pseudo, "generate", lambda *args, **kwargs: [])
     code = cli.main(["gen-pseudo", "--run-dir", str(copy), "--config", str(config)])
     assert code == 1
-    assert "error [gen-pseudo]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error [gen-pseudo]" in err
+    assert err.count("gen-pseudo") == 1
     # nothing is written or recorded for the failed stage
     assert {name: (copy / name).read_bytes() for name in before} == before
+
+
+def test_record_files_load_and_save_to_the_same_bytes(run_dir, tmp_path):
+    run, _ = run_dir
+    space = data.load_feature_space(run / cli.SPACE_FILE)
+    codecs = {
+        name: (lambda p: data.read_dataset(p, space), data.save_dataset)
+        for name in (cli.DATASET_FILE, cli.TRAIN_FILE, cli.CALIB_FILE, cli.TEST_FILE,
+                     cli.PSEUDO_FILE)
+    }
+    codecs[cli.PERTURBATIONS_FILE] = (problem_space.load_perturbations,
+                                      problem_space.save_perturbations)
+    for name in (cli.PARTITION_FILE, cli.TRUE_PARTITION_FILE):
+        codecs[name] = (quantify.load_partition, quantify.save_partition)
+    for mode in ("greedy", "adaptive1", "adaptive2"):
+        codecs[f"traces-{mode}.jsonl"] = (lambda p: attacks.load_traces(p, space.dim),
+                                          attacks.save_traces)
+    assert any(s.source_id for s in data.read_dataset(run / cli.PSEUDO_FILE, space).samples)
+    for name, (load, save) in codecs.items():
+        save(load(run / name), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (run / name).read_bytes(), name
 
 
 def test_quantified_partition_matches_ground_truth(run_dir):

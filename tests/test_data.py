@@ -1,9 +1,12 @@
 """Feature space, sparse vectors, dataset container, splits, wire format."""
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from malguard import attacks, data, problem_space, quantify
 from malguard.data import (
     BENIGN,
     MALICIOUS,
@@ -47,13 +50,6 @@ def test_feature_vector_rejects_out_of_range():
         FeatureVector.make([8], 8)
     with pytest.raises(ValueError):
         FeatureVector.make([-1], 8)
-
-
-def test_feature_vector_union():
-    v = FeatureVector.make([0, 2], 8)
-    assert v.union([2, 7], 8).indices == (0, 2, 7)
-    # union never mutates the operand
-    assert v.indices == (0, 2)
 
 
 def test_feature_space_index_of():
@@ -158,6 +154,54 @@ def test_load_reports_offending_line(tmp_path):
     with pytest.raises(FormatError) as err:
         read_dataset(dp, load_feature_space(sp))
     assert err.value.line_no == 3
+
+
+# One valid record and the reader of each record file type, over a 4-feature space.
+VALID_RECORDS = {
+    "dataset": {"id": "a", "label": BENIGN, "ts": 0, "features": [1]},
+    "perturbations": {"id": "p", "kind": "k", "adds": [1], "requires": [], "forbids": []},
+    "traces": {"sample_id": "a", "success": False, "queries_used": 2, "final": [1],
+               "applied": ["p"], "eligible": True},
+    "partition": {"dim": 4, "ips": [0, 2, 3], "ps": [1]},
+}
+READERS = {
+    "dataset": lambda path: read_dataset(path, make_space(4)),
+    "perturbations": problem_space.load_perturbations,
+    "traces": lambda path: attacks.load_traces(path, 4),
+    "partition": quantify.load_partition,
+}
+
+
+# Each case: the line after one valid record (None: the file has no header).
+MALFORMED = {
+    "missing header": None,
+    "blank line": lambda rec: "",
+    "non-JSON line": lambda rec: "{not json",
+    "non-object line": lambda rec: "[1, 2]",
+    "unknown key": lambda rec: json.dumps({**rec, "bogus": 1}),
+    "missing key": lambda rec: json.dumps(dict(list(rec.items())[1:])),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("kind", READERS)
+def test_record_readers_reject_malformed_lines(tmp_path, kind, case):
+    rec, bad = VALID_RECORDS[kind], MALFORMED[case]
+    if bad is None:
+        lines, line_no = [json.dumps(rec)], 1
+    else:
+        lines, line_no = [data.FORMAT_HEADER, json.dumps(rec), bad(rec)], 3
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        READERS[kind](path)
+    assert err.value.line_no == line_no
+
+
+def test_record_format_is_named_only_in_data():
+    sources = Path(data.__file__).parent.glob("*.py")
+    naming = sorted(p.name for p in sources if "FORMAT_HEADER" in p.read_text(encoding="utf-8"))
+    assert naming == ["data.py"]
 
 
 # Split sizes from the rounding rule: cut1 = floor(n*r1 + 0.5) on the

@@ -38,7 +38,7 @@ def test_apply_adds_features():
     app = AppModel(FeatureVector.make([0], 8), 8)
     out = apply(app, pert(adds=(3, 4)))
     assert out.effective() == frozenset({0, 3, 4})
-    assert out.applied_ids == ("p0",)
+    assert tuple(p.id for p in out.applied) == ("p0",)
     # base app is untouched
     assert app.effective() == frozenset({0})
 

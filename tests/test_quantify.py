@@ -1,8 +1,10 @@
 """Space quantification: measuring which features perturbations can reach."""
+import json
+
 import numpy as np
 import pytest
 
-from malguard.data import FeatureSpace, FeatureVector, vectors_matrix
+from malguard.data import FORMAT_HEADER, FeatureSpace, FeatureVector, FormatError, vectors_matrix
 from malguard.problem_space import AppModel, Perturbation
 from malguard import quantify as q
 from malguard.quantify import SpacePartition, quantify
@@ -97,6 +99,24 @@ def test_partition_round_trip(tmp_path):
     assert back == part
     q.save_partition(back, p)
     assert p.read_bytes() == first
+
+
+VALID_PARTITION = {"dim": 4, "ips": [1, 2, 3], "ps": [0]}
+
+
+@pytest.mark.parametrize("records, line_no", [
+    ([VALID_PARTITION | {"ps": [0.7]}], 2),
+    ([VALID_PARTITION | {"dim": "4"}], 2),
+    ([VALID_PARTITION | {"dim": 4.0}], 2),
+    ([VALID_PARTITION, VALID_PARTITION], 3),
+    ([], 2),
+])
+def test_load_partition_rejects_bad_records(tmp_path, records, line_no):
+    p = tmp_path / "part.json"
+    p.write_text("".join(line + "\n" for line in [FORMAT_HEADER, *map(json.dumps, records)]))
+    with pytest.raises(FormatError) as err:
+        q.load_partition(p)
+    assert err.value.line_no == line_no
 
 
 def test_partition_arrays_dtype():
