@@ -31,7 +31,7 @@ from malguard.data import (
 from malguard.problem_space import Perturbation
 from malguard.quantify import SpacePartition
 
-ATTACK_TARGETS = ("detector-only", "score-oracle", "pipeline")
+ATTACK_TARGETS = ("detector-only", "score-oracle")
 
 
 @dataclass(frozen=True)

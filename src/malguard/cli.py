@@ -15,6 +15,7 @@ name; digests are checked whenever a stage consumes another stage's output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -61,7 +62,8 @@ DEFAULT_CONFIG: dict = {
     "k_list": [10.0, 5.0, 1.0],
     "synth": _json_defaults(synthetic.GeneratorConfig()),
     "split": {"mode": "random", "ratios": [0.5, 0.2, 0.3], "t1": None, "t2": None},
-    "detector": {"kind": "linear", "epochs": 60, "lr": 0.5, "l2": 1e-4,
+    # epochs and lr left null take the default of the chosen kind's trainer
+    "detector": {"kind": "linear", "epochs": None, "lr": None, "l2": 1e-4,
                  "batch_size": 256, "hidden": [200, 200]},
     "pseudo": {"budget": _DEFENSE.pseudo_budget, "mode": _DEFENSE.pseudo_mode,
                "flip_limit": _DEFENSE.pseudo_flip_limit},
@@ -87,18 +89,25 @@ class StageError(RuntimeError):
     pass
 
 
-def _merge_config(base: dict, override: dict, crumb: str = "") -> dict:
+def _merge_config(base: dict, override: dict, path, crumb: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
         if key not in base:
-            raise StageError(f"unknown config key {crumb + key!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise StageError(f"config key {crumb + key!r} must be a JSON object")
-            out[key] = _merge_config(base[key], value, crumb + key + ".")
-        else:
-            out[key] = value
+            raise StageError(f"config {path}: unknown key {crumb + key!r}")
+        if not _fits(value, base[key]):
+            raise StageError(f"config {path}: key {crumb + key!r} has the wrong type: {value!r}")
+        out[key] = (_merge_config(base[key], value, path, crumb + key + ".")
+                    if isinstance(value, dict) else value)
     return out
+
+
+def _fits(value, default) -> bool:
+    """Whether *value* has a config default's JSON type: an int fits a float and
+    a number a null, and a list's items must fit the default's first item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    kinds = {float: (int, float), type(None): (int, float, type(None))}
+    return type(value) in kinds.get(type(default), (type(default),))
 
 
 def resolve_config(path: str | None, seed: int | None) -> dict:
@@ -107,11 +116,11 @@ def resolve_config(path: str | None, seed: int | None) -> dict:
         with open(path, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
                 raise StageError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise StageError(f"config {path} must be a JSON object")
-        cfg = _merge_config(cfg, loaded)
+        cfg = _merge_config(cfg, loaded, path)
     if seed is not None:
         cfg = dict(cfg, seed=seed)
     return cfg
@@ -147,9 +156,18 @@ def _load_manifest(run: RunDir) -> dict:
     path = run / MANIFEST_FILE
     if not path.exists():
         return {"format": _MANIFEST_FORMAT, "stages": {}}
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise StageError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StageError(f"{path}: manifest must be a JSON object")
     if manifest.get("format") != _MANIFEST_FORMAT:
         raise StageError(f"{path}: unknown manifest format {manifest.get('format')!r}")
+    stages = manifest.get("stages")
+    if not isinstance(stages, dict) or not all(
+            isinstance(e, dict) and isinstance(e.get("outputs"), dict) for e in stages.values()):
+        raise StageError(f"{path}: manifest stages must be objects with an 'outputs' object")
     return manifest
 
 
@@ -274,18 +292,14 @@ def cmd_train_detector(args) -> int:
     train = _load_split(run, TRAIN_FILE, space)
     dcfg = cfg["detector"]
     seed = storage.stage_seed(cfg["seed"], "train-detector")
-    if dcfg["kind"] == "linear":
-        model = detectors.train_linear(
-            train, epochs=dcfg["epochs"], lr=dcfg["lr"], l2=dcfg["l2"],
-            batch_size=dcfg["batch_size"], seed=seed,
-        )
-    elif dcfg["kind"] == "mlp":
-        model = detectors.train_mlp(
-            train, hidden=tuple(dcfg["hidden"]), epochs=dcfg["epochs"],
-            lr=dcfg["lr"], batch_size=dcfg["batch_size"], seed=seed,
-        )
-    else:
+    if dcfg["kind"] not in ("linear", "mlp"):
         raise StageError(f"unknown detector kind {dcfg['kind']!r}")
+    trainer = detectors.train_linear if dcfg["kind"] == "linear" else detectors.train_mlp
+    defaults = inspect.signature(trainer).parameters
+    used = {key: defaults[key].default if dcfg[key] is None else dcfg[key]
+            for key in ("epochs", "lr")}
+    extra = {"l2": dcfg["l2"]} if dcfg["kind"] == "linear" else {"hidden": tuple(dcfg["hidden"])}
+    model = trainer(train, **used, **extra, batch_size=dcfg["batch_size"], seed=seed)
     detectors.save_model(model, run / DETECTOR_FILE)
     outputs = [DETECTOR_FILE]
     test_path = run / TEST_FILE
@@ -297,7 +311,7 @@ def cmd_train_detector(args) -> int:
               f" f1 {metrics.f1:.4f} on test")
     else:
         print(f"train-detector: {dcfg['kind']} trained on {len(train)} samples")
-    _record_stage(run, "train-detector", dcfg | {"seed": seed}, outputs)
+    _record_stage(run, "train-detector", dcfg | used | {"seed": seed}, outputs)
     return 0
 
 
@@ -624,8 +638,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StageError, pipeline.BuildError, data.FormatError,
-            calibration.CalibrationError, ValueError, OSError) as exc:
+    except (StageError, pipeline.BuildError, ValueError, OSError) as exc:
         # a stage's BuildError already names the verb; name it once
         detail = str(exc).removeprefix(f"[stage:{args.command}] ")
         print(f"error [{args.command}]: {detail}", file=sys.stderr)

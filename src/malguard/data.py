@@ -28,20 +28,12 @@ import numpy as np
 from scipy import sparse
 
 from malguard import storage
+from malguard.storage import FormatError
 
 FORMAT_HEADER = "#addfmt v1"
 BENIGN = "benign"
 MALICIOUS = "malicious"
 LABELS = (BENIGN, MALICIOUS)
-
-
-class FormatError(ValueError):
-    """Malformed vocabulary or record file contents."""
-
-    def __init__(self, path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
 
 
 def format_records(records) -> str:
@@ -59,33 +51,44 @@ def write_records(path, records) -> None:
 def read_records(path, what: str, keys, optional=()):
     """Yield ``(line_no, record)`` for each record of a *what* file.
 
-    Checks the header, that no line is blank, that each line is a JSON
-    object, and that each object has every key of *keys*, no key outside
-    *keys* and *optional*.
+    Checks that the file is UTF-8, the header, that no line is blank, that
+    each line is a JSON object, and that each object has every key of
+    *keys*, no key outside *keys* and *optional*.
     """
     required = frozenset(keys)
     allowed = required | frozenset(optional)
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != FORMAT_HEADER:
-            raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
-        for line_no, raw in enumerate(fh, start=2):
-            raw = raw.rstrip("\n")
-            if not raw:
-                raise FormatError(path, line_no, f"blank line in {what} file")
-            try:
-                rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise FormatError(path, line_no, "record must be a JSON object")
-            if rec.keys() != required:
-                unknown = rec.keys() - allowed
-                if unknown:
-                    raise FormatError(path, line_no, f"unknown record keys: {sorted(unknown)}")
-                missing = required - rec.keys()
-                if missing:
-                    raise FormatError(path, line_no, f"missing record keys: {sorted(missing)}")
-            yield line_no, rec
+    for line_no, raw in enumerate(_body_lines(path), start=2):
+        if not raw:
+            raise FormatError(path, line_no, f"blank line in {what} file")
+        try:
+            rec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise FormatError(path, line_no, "record must be a JSON object")
+        if rec.keys() != required:
+            unknown = rec.keys() - allowed
+            if unknown:
+                raise FormatError(path, line_no, f"unknown record keys: {sorted(unknown)}")
+            missing = required - rec.keys()
+            if missing:
+                raise FormatError(path, line_no, f"missing record keys: {sorted(missing)}")
+        yield line_no, rec
+
+
+def _body_lines(path) -> list[str]:
+    """The lines after the header of a UTF-8 ``#addfmt v1`` file, without newlines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, raw.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
+    if lines[0] != FORMAT_HEADER:
+        raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
+    if lines[-1] == "":
+        lines.pop()
+    return lines[1:]
 
 
 def int_list(rec: dict, key: str, path, line_no: int) -> list[int]:
@@ -157,8 +160,10 @@ class Sample:
     source_id: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"sample id must be a non-empty string, got {self.id!r}")
+        if self.source_id is not None and not isinstance(self.source_id, str):
+            raise ValueError(f"source_id must be a string, got {self.source_id!r}")
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}; expected one of {LABELS}")
         if isinstance(self.ts, bool) or not isinstance(self.ts, int):
@@ -231,14 +236,8 @@ def save_feature_space(space: FeatureSpace, path) -> None:
 
 
 def load_feature_space(path) -> FeatureSpace:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise FormatError(path, 1, f"missing header {FORMAT_HEADER!r}")
-    if lines and lines[-1] == "":
-        lines.pop()
     names = []
-    for line_no, raw in enumerate(lines[1:], start=2):
+    for line_no, raw in enumerate(_body_lines(path), start=2):
         if not raw or raw != raw.strip():
             raise FormatError(path, line_no, f"invalid feature name: {raw!r}")
         names.append(raw)

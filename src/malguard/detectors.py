@@ -228,27 +228,26 @@ _MODEL_FORMAT = "malguard-detector-v1"
 
 
 def save_model(model, path) -> None:
-    meta: dict = {"format": _MODEL_FORMAT}
     if isinstance(model, LinearModel):
-        meta["kind"] = "linear"
-        meta["bias"] = model.bias
-        arrays = {"weights": model.weights}
+        meta, arrays = {"kind": "linear", "bias": model.bias}, {"weights": model.weights}
     elif isinstance(model, MlpModel):
-        meta["kind"] = "mlp"
-        meta["dims"] = list(model.net.dims)
-        arrays = nnet.mlp_arrays(model.net)
+        meta, arrays = {"kind": "mlp", "dims": list(model.net.dims)}, nnet.mlp_arrays(model.net)
     else:
         raise TypeError(f"unsupported model type: {type(model)!r}")
-    storage.save_container(path, meta, arrays)
+    storage.save_container(path, _MODEL_FORMAT, meta, arrays)
+
+
+def _decode_model(meta: dict, arrays: dict):
+    if meta["kind"] == "linear":
+        return LinearModel(arrays["weights"], float(meta["bias"]))
+    if meta["kind"] == "mlp":
+        return MlpModel(nnet.mlp_from_arrays(meta["dims"], arrays))
+    raise ValueError(f"unknown detector kind {meta['kind']!r}")
 
 
 def load_model(path):
     """Load a detector file as ``(model, None)``; callers unpack a pair."""
-    meta, arrays = storage.load_container(path)
-    storage.expect_format(meta, _MODEL_FORMAT, path)
-    if meta["kind"] == "linear":
-        return LinearModel(arrays["weights"], float(meta["bias"])), None
-    return MlpModel(nnet.mlp_from_arrays(meta["dims"], arrays)), None
+    return storage.load_container(path, _MODEL_FORMAT, _decode_model), None
 
 
 def model_digest(model) -> str:

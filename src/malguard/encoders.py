@@ -303,21 +303,19 @@ class CheckpointSeries:
         fields = [pair_fields(pair, f"e{e:04d}_") for e, pair in enumerate(self.pairs)]
         meta = {
             **fields[0][0],
-            "format": _SERIES_FORMAT,
             "epochs": len(self.pairs),
             "partition_digest": self.partition_digest,
             "config": self.config,
             "epoch_losses": self.epoch_losses,
         }
         arrays = {name: a for _, pair_arrays in fields for name, a in pair_arrays.items()}
-        storage.save_container(path, meta, arrays)
+        storage.save_container(path, _SERIES_FORMAT, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "CheckpointSeries":
-        meta, arrays = storage.load_container(path)
-        storage.expect_format(meta, _SERIES_FORMAT, path)
-        pairs = [pair_from_fields(meta, arrays, f"e{e:04d}_") for e in range(int(meta["epochs"]))]
-        return cls(pairs, meta["partition_digest"], meta["config"], meta["epoch_losses"])
+        return storage.load_container(path, _SERIES_FORMAT, lambda meta, arrays: cls(
+            [pair_from_fields(meta, arrays, f"e{e:04d}_") for e in range(int(meta["epochs"]))],
+            meta["partition_digest"], meta["config"], meta["epoch_losses"]))
 
 
 _SERIES_FORMAT = "malguard-encoder-series-v1"

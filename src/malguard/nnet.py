@@ -47,9 +47,11 @@ def mlp_arrays(mlp: Mlp, prefix: str = "") -> dict[str, np.ndarray]:
 def mlp_from_arrays(dims, arrays: dict[str, np.ndarray], prefix: str = "") -> Mlp:
     """Inverse of :func:`mlp_arrays` for a network with layer widths *dims*."""
     dims = [int(d) for d in dims]
-    layers = range(len(dims) - 1)
-    weights = [arrays[f"{prefix}w{i}"] for i in layers]
-    return Mlp(dims, weights, [arrays[f"{prefix}b{i}"] for i in layers])
+    weights, biases = ([arrays[f"{prefix}{k}{i}"] for i in range(len(dims) - 1)] for k in "wb")
+    shapes = [((m, n), (n,)) for m, n in zip(dims, dims[1:])]
+    if [(w.shape, b.shape) for w, b in zip(weights, biases)] != shapes:
+        raise ValueError(f"{prefix}w*/b* array shapes do not match layer widths {dims}")
+    return Mlp(dims, weights, biases)
 
 
 def init_mlp(dims, rng: np.random.Generator) -> Mlp:

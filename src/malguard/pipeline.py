@@ -200,7 +200,6 @@ def save_bundle(bundle: DefenseBundle, path) -> None:
     pair_meta, arrays = encoders.pair_fields(bundle.pair)
     meta = {
         **pair_meta,
-        "format": _BUNDLE_FORMAT,
         "threshold": bundle.threshold,
         "detector_id": bundle.detector_id,
         "partition_digest": bundle.partition_digest,
@@ -209,17 +208,13 @@ def save_bundle(bundle: DefenseBundle, path) -> None:
         "metadata": bundle.metadata,
     }
     arrays["ps"] = bundle.partition.ps_array()
-    storage.save_container(path, meta, arrays)
+    storage.save_container(path, _BUNDLE_FORMAT, meta, arrays)
 
 
-def load_bundle(path) -> DefenseBundle:
-    meta, arrays = storage.load_container(path)
-    storage.expect_format(meta, _BUNDLE_FORMAT, path)
-    partition = SpacePartition.from_ps(
-        tuple(int(i) for i in arrays["ps"]), int(meta["dim"])
-    )
+def _decode_bundle(meta: dict, arrays: dict) -> DefenseBundle:
+    partition = SpacePartition.from_ps(tuple(int(i) for i in arrays["ps"]), int(meta["dim"]))
     if partition.digest() != meta["partition_digest"]:
-        raise ValueError(f"{path}: stored partition does not match its digest")
+        raise ValueError("stored partition does not match its digest")
     return DefenseBundle(
         pair=encoders.pair_from_fields(meta, arrays),
         threshold=float(meta["threshold"]),
@@ -228,6 +223,10 @@ def load_bundle(path) -> DefenseBundle:
         calibration=calibration.CalibrationResult.from_dict(meta["calibration"]),
         metadata=meta["metadata"],
     )
+
+
+def load_bundle(path) -> DefenseBundle:
+    return storage.load_container(path, _BUNDLE_FORMAT, _decode_bundle)
 
 
 def bundle_from_calibration(

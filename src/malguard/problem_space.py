@@ -30,8 +30,10 @@ class Perturbation:
     forbids: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("perturbation id must be non-empty")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"perturbation id must be a non-empty string, got {self.id!r}")
+        if not isinstance(self.kind, str):
+            raise ValueError(f"perturbation {self.id!r} kind must be a string")
         if not self.adds:
             raise ValueError(f"perturbation {self.id!r} adds no features")
         if any(i < 0 for i in self.adds | self.requires | self.forbids):
@@ -109,11 +111,12 @@ def load_perturbations(path) -> list[Perturbation]:
         adds, requires, forbids = (
             frozenset(int_list(rec, key, path, line_no)) for key in ("adds", "requires", "forbids")
         )
-        if rec["id"] in seen:
-            raise FormatError(path, line_no, f"duplicate perturbation id {rec['id']!r}")
-        seen.add(rec["id"])
         try:
-            perturbations.append(Perturbation(rec["id"], rec["kind"], adds, requires, forbids))
+            pert = Perturbation(rec["id"], rec["kind"], adds, requires, forbids)
         except (TypeError, ValueError) as exc:
             raise FormatError(path, line_no, str(exc)) from exc
+        if pert.id in seen:
+            raise FormatError(path, line_no, f"duplicate perturbation id {pert.id!r}")
+        seen.add(pert.id)
+        perturbations.append(pert)
     return perturbations

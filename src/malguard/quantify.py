@@ -33,6 +33,8 @@ class SpacePartition:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"partition dim must be >= 1, got {self.dim}")
         ps = set(self.ps)
         ips = set(self.ips)
         if len(ps) != len(self.ps) or len(ips) != len(self.ips):

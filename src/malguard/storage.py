@@ -1,7 +1,9 @@
 """Deterministic persistence and seeding utilities.
 
-Array containers are zip files holding ``meta.json`` plus one ``.npy`` entry
-per array. Entries are written in sorted order, uncompressed, with fixed
+Array containers are zip files holding ``meta.json``, whose ``format`` key
+names the container type, plus one ``.npy`` entry per array; only
+:func:`save_container` writes them and only :func:`load_container` reads
+them. Entries are written in sorted order, uncompressed, with fixed
 timestamps, so identical contents always produce identical bytes. That
 property is what lets a rebuild from the same config reproduce a container
 file exactly. Content digests and the scheme that fans a root seed out to
@@ -21,14 +23,21 @@ import numpy as np
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
-def save_container(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write *meta* and *arrays* to *path* as a byte-stable container."""
-    payload = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+class FormatError(ValueError):
+    """Malformed file contents; *line_no* is None for a container, which has no lines."""
+
+    def __init__(self, path, line_no: int | None, message: str):
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
+        self.line_no = line_no
+
+
+def save_container(path, fmt: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write *meta*, stamped ``"format": fmt``, and *arrays* as a byte-stable container."""
+    payload = json.dumps(meta | {"format": fmt}, sort_keys=True, separators=(",", ":"))
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         _write_entry(zf, "meta.json", payload.encode("utf-8"))
         for name in sorted(arrays):
-            if name == "meta":
-                raise ValueError("array name 'meta' collides with the metadata entry")
             buf = io.BytesIO()
             np.lib.format.write_array(
                 buf, np.ascontiguousarray(arrays[name]), version=(1, 0)
@@ -42,20 +51,21 @@ def _write_entry(zf: zipfile.ZipFile, name: str, data: bytes) -> None:
     zf.writestr(info, data)
 
 
-def load_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read("meta.json").decode("utf-8"))
-        arrays = {}
-        for name in zf.namelist():
-            if name.endswith(".npy"):
-                arrays[name[:-4]] = np.lib.format.read_array(io.BytesIO(zf.read(name)))
-    return meta, arrays
-
-
-def expect_format(meta: dict, fmt: str, path) -> None:
-    found = meta.get("format")
-    if found != fmt:
-        raise ValueError(f"{path}: expected container format {fmt!r}, found {found!r}")
+def load_container(path, fmt: str, decode):
+    """``decode(meta, arrays)`` of the *fmt* container at *path*; once the file is
+    open, whatever reading or decoding raises becomes one :class:`FormatError`."""
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                meta = json.loads(zf.read("meta.json").decode("utf-8"))
+                arrays = {name[:-4]: np.lib.format.read_array(io.BytesIO(zf.read(name)))
+                          for name in zf.namelist() if name.endswith(".npy")}
+            if meta.get("format") != fmt:
+                raise ValueError(f"expected format {fmt!r}, found {meta.get('format')!r}")
+            return decode(meta, arrays)
+        except Exception as exc:
+            message = f"malformed container: {type(exc).__name__}: {exc}"
+            raise FormatError(path, None, message) from exc
 
 
 def sha256_hex(data: bytes) -> str:

@@ -53,8 +53,9 @@ def test_attack_config_validation():
         AttackConfig(query_budget=0)
     with pytest.raises(ValueError):
         AttackConfig(variant_count=0)
-    with pytest.raises(ValueError):
-        AttackConfig(target="detector")
+    for target in ("detector", "pipeline"):
+        with pytest.raises(ValueError):
+            AttackConfig(target=target)
 
 
 def test_greedy_respects_budget_and_counts_queries():

@@ -1,4 +1,5 @@
 """Run-directory workflow: every verb, manifest bookkeeping, reproducibility."""
+import inspect
 import json
 import shutil
 import zipfile
@@ -350,8 +351,36 @@ def test_cli_defaults_match_library_defaults():
     assert cli.DEFAULT_CONFIG["calibration"] == {
         "control_rate": dcfg.control_rate, "method": dcfg.percentile_method,
     }
+    # epochs and lr are the chosen trainer's own defaults; the rest are shared
+    linear, mlp = (inspect.signature(f).parameters
+                   for f in (detectors.train_linear, detectors.train_mlp))
+    assert cli.DEFAULT_CONFIG["detector"] == {
+        "kind": "linear", "epochs": None, "lr": None, "l2": linear["l2"].default,
+        "batch_size": linear["batch_size"].default, "hidden": list(mlp["hidden"].default),
+    }
+    assert mlp["batch_size"].default == linear["batch_size"].default
     # config.json is this dict dumped; a tuple in it would not survive the round trip
     assert json.loads(json.dumps(cli.DEFAULT_CONFIG)) == cli.DEFAULT_CONFIG
+
+
+def test_mlp_detector_trains_at_its_own_defaults(run_dir, tmp_path):
+    run, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    config = tmp_path / "mlp.json"
+    mlp = {"kind": "mlp", "epochs": 2, "hidden": [8]}
+    config.write_text(json.dumps({**TINY, "detector": mlp}))
+    run_verbs(copy, config, [["train-detector"]])
+    space = data.load_feature_space(copy / cli.SPACE_FILE)
+    seed = storage.stage_seed(TINY["seed"], "train-detector")
+    expected = detectors.train_mlp(data.read_dataset(copy / cli.TRAIN_FILE, space),
+                                   hidden=(8,), epochs=2, seed=seed)
+    stored, _ = detectors.load_model(copy / cli.DETECTOR_FILE)
+    assert detectors.model_digest(stored) == detectors.model_digest(expected)
+    stages = json.loads((copy / cli.MANIFEST_FILE).read_text())["stages"]
+    params = stages["train-detector"]["params"]
+    lr = inspect.signature(detectors.train_mlp).parameters["lr"].default
+    assert (params["epochs"], params["lr"]) == (2, lr)
 
 
 def test_config_section_that_is_not_an_object_is_rejected(tmp_path, capsys):
@@ -362,6 +391,22 @@ def test_config_section_that_is_not_an_object_is_rejected(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert "error [synth]" in err and repr(next(iter(bad))) in err
+
+
+def test_config_value_of_the_wrong_type_is_rejected(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    for bad, key in (({"seed": "3"}, "'seed'"), ({"k_list": [5, "x"]}, "'k_list'"),
+                     ({"synth": {"dim": 2.5}}, "'synth.dim'"),
+                     ({"attack": {"query_budget": None}}, "'attack.query_budget'"),
+                     ({"split": {"t1": True}}, "'split.t1'")):
+        config.write_text(json.dumps(bad))
+        code = cli.main(["synth", "--run-dir", str(tmp_path / "r"), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [synth]: config {config}: key {key} has the wrong type")
+    # an int fits a float default and a number a null one
+    config.write_text(json.dumps({"calibration": {"control_rate": 5}, "detector": {"lr": 1}}))
+    assert cli.resolve_config(str(config), None)["detector"]["lr"] == 1
 
 
 def test_attack_rejects_a_sample_limit_below_one(run_dir, tmp_path, capsys):

@@ -143,6 +143,20 @@ def test_load_rejects_missing_header(tmp_path):
     assert "bad.jsonl" in str(err.value)
 
 
+def test_readers_name_the_line_that_is_not_utf8(tmp_path):
+    ds = make_dataset(3, dim=4, seed=0)
+    sp, dp = tmp_path / "s.txt", tmp_path / "d.jsonl"
+    save_feature_space(ds.space, sp)
+    save_dataset(ds, dp)
+    for path, load in ((sp, load_feature_space), (dp, lambda p: read_dataset(p, ds.space))):
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert err.value.line_no == 3
+
+
 def test_load_reports_offending_line(tmp_path):
     ds = make_dataset(3, dim=4, seed=0)
     sp, dp = tmp_path / "s.txt", tmp_path / "d.jsonl"
@@ -180,6 +194,11 @@ MALFORMED = {
     "non-object line": lambda rec: "[1, 2]",
     "unknown key": lambda rec: json.dumps({**rec, "bogus": 1}),
     "missing key": lambda rec: json.dumps(dict(list(rec.items())[1:])),
+    # a list where a string belongs, under an id of its own; a key that a
+    # kind of record does not have is an unknown key
+    "list id": lambda rec: json.dumps(rec | {"id": ["x"]}),
+    "list source_id": lambda rec: json.dumps(rec | {"id": "b", "source_id": ["x"]}),
+    "list kind": lambda rec: json.dumps(rec | {"id": "b", "kind": ["k"]}),
 }
 
 

@@ -110,6 +110,8 @@ VALID_PARTITION = {"dim": 4, "ips": [1, 2, 3], "ps": [0]}
     ([VALID_PARTITION | {"dim": 4.0}], 2),
     ([VALID_PARTITION, VALID_PARTITION], 3),
     ([], 2),
+    ([{"dim": -1, "ips": [], "ps": []}], 2),
+    ([{"dim": 0, "ips": [], "ps": []}], 2),
 ])
 def test_load_partition_rejects_bad_records(tmp_path, records, line_no):
     p = tmp_path / "part.json"

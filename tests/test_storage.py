@@ -1,4 +1,6 @@
 """Deterministic containers and seed fan-out."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from malguard import storage
 def test_container_round_trip(tmp_path):
     p = tmp_path / "c.zip"
     arrays = {"w": np.arange(6, dtype=np.float64).reshape(2, 3), "b": np.zeros(2)}
-    storage.save_container(p, {"format": "x-v1", "note": "hi"}, arrays)
-    meta, back = storage.load_container(p)
-    assert meta["note"] == "hi"
+    storage.save_container(p, "x-v1", {"note": "hi"}, arrays)
+    meta, back = storage.load_container(p, "x-v1", lambda meta, arrays: (meta, arrays))
+    assert meta == {"format": "x-v1", "note": "hi"}
     assert set(back) == {"w", "b"}
     np.testing.assert_array_equal(back["w"], arrays["w"])
 
@@ -19,18 +21,38 @@ def test_container_bytes_stable(tmp_path):
     # same payload twice must produce identical bytes, entry order included
     a, b = tmp_path / "a.zip", tmp_path / "b.zip"
     arrays = {"z": np.ones(3), "a": np.full(2, 7.0)}
-    storage.save_container(a, {"format": "x-v1"}, arrays)
-    storage.save_container(b, {"format": "x-v1"}, dict(reversed(list(arrays.items()))))
+    storage.save_container(a, "x-v1", {}, arrays)
+    storage.save_container(b, "x-v1", {}, dict(reversed(list(arrays.items()))))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_expect_format_mismatch(tmp_path):
     p = tmp_path / "c.zip"
-    storage.save_container(p, {"format": "x-v1"}, {})
-    meta, _ = storage.load_container(p)
-    storage.expect_format(meta, "x-v1", p)
-    with pytest.raises(ValueError):
-        storage.expect_format(meta, "y-v1", p)
+    storage.save_container(p, "x-v1", {}, {})
+    assert storage.load_container(p, "x-v1", lambda meta, arrays: meta) == {"format": "x-v1"}
+    with pytest.raises(storage.FormatError) as err:
+        storage.load_container(p, "y-v1", lambda meta, arrays: meta)
+    assert str(err.value) == (f"{p}: malformed container: ValueError: expected format 'y-v1',"
+                              " found 'x-v1'")
+    assert err.value.line_no is None
+
+
+def test_load_container_turns_every_failure_into_one_format_error(tmp_path):
+    p = tmp_path / "c.zip"
+    storage.save_container(p, "x-v1", {"n": 1}, {"w": np.ones(2)})
+    for decode in (lambda meta, arrays: arrays["missing"],
+                   lambda meta, arrays: meta["missing"],
+                   lambda meta, arrays: int(meta["format"])):
+        with pytest.raises(storage.FormatError) as err:
+            storage.load_container(p, "x-v1", decode)
+        assert str(err.value).startswith(f"{p}: malformed container: ")
+    good = p.read_bytes()
+    for damaged in (good[:len(good) // 2], good.replace(b"meta.json", b"meta.jsoN")):
+        p.write_bytes(damaged)
+        with pytest.raises(storage.FormatError):
+            storage.load_container(p, "x-v1", lambda meta, arrays: meta)
+    with pytest.raises(OSError):
+        storage.load_container(tmp_path / "absent.zip", "x-v1", lambda meta, arrays: meta)
 
 
 def test_stable_seed_is_stable():
@@ -50,3 +72,10 @@ def test_file_sha256_matches_content(tmp_path):
     p = tmp_path / "f.bin"
     p.write_bytes(b"payload")
     assert storage.file_sha256(p) == storage.sha256_hex(b"payload")
+
+
+def test_only_storage_knows_the_container_layout():
+    sources = Path(storage.__file__).parent.glob("*.py")
+    knowing = sorted(p.name for p in sources if any(
+        phrase in p.read_text(encoding="utf-8") for phrase in ("zipfile", '"meta.json"')))
+    assert knowing == ["storage.py"]
