@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from malguard import encoders
+from malguard import encoders, storage
 from malguard.data import BENIGN, MALICIOUS, Dataset
 
 
@@ -96,8 +96,12 @@ class CalibrationResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationResult":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{**doc, "table": tuple(EpochCalibration(**row) for row in doc["table"])})
+        """Inverse of :meth:`to_dict`; ValueError for a document of any other shape."""
+        result = storage.from_fields(cls, doc)
+        if not isinstance(result.table, list):
+            raise ValueError(f"table must be a list, got {result.table!r}")
+        table = tuple(storage.from_fields(EpochCalibration, row) for row in result.table)
+        return replace(result, table=table)
 
 
 def detector_negative_scores(calib: Dataset, detector) -> tuple[np.ndarray, np.ndarray]:

@@ -95,10 +95,14 @@ def _merge_config(base: dict, override: dict, path, crumb: str = "") -> dict:
         if key not in base:
             raise StageError(f"config {path}: unknown key {crumb + key!r}")
         if not _fits(value, base[key]):
-            raise StageError(f"config {path}: key {crumb + key!r} has the wrong type: {value!r}")
+            raise _wrong_type(path, crumb + key, value)
         out[key] = (_merge_config(base[key], value, path, crumb + key + ".")
                     if isinstance(value, dict) else value)
     return out
+
+
+def _wrong_type(path, key: str, value) -> StageError:
+    return StageError(f"config {path}: key {key!r} has the wrong type: {value!r}")
 
 
 def _fits(value, default) -> bool:
@@ -298,6 +302,9 @@ def cmd_train_detector(args) -> int:
     defaults = inspect.signature(trainer).parameters
     used = {key: defaults[key].default if dcfg[key] is None else dcfg[key]
             for key in ("epochs", "lr")}
+    for key, value in used.items():  # a set value has the type of the trainer's default
+        if not _fits(value, defaults[key].default):
+            raise _wrong_type(args.config, f"detector.{key}", value)
     extra = {"l2": dcfg["l2"]} if dcfg["kind"] == "linear" else {"hidden": tuple(dcfg["hidden"])}
     model = trainer(train, **used, **extra, batch_size=dcfg["batch_size"], seed=seed)
     detectors.save_model(model, run / DETECTOR_FILE)
@@ -395,10 +402,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_build_defense(args) -> int:
     run, cfg = _prepare_run(args)
-    stored = json.loads(artifact(run, CALIBRATION_FILE).read_text(encoding="utf-8"))
+    stored = storage.load_json(artifact(run, CALIBRATION_FILE),
+                               calibration.CalibrationResult.from_dict)
     result, partition, detector, series = _calibrate(
-        run, stored["control_rate"], defense_config(cfg).percentile_method)
-    if result.to_dict() != stored:
+        run, stored.control_rate, defense_config(cfg).percentile_method)
+    if result != stored:
         raise StageError(
             "stored calibration no longer matches a recomputation from the"
             " encoder series; re-run calibrate"
@@ -564,9 +572,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _evaluation_doc(doc) -> dict:
+    """A stored evaluation with a k_list to recompute it at; report compares the rest."""
+    if not isinstance(doc, dict) or not _fits(doc.get("k_list"), DEFAULT_CONFIG["k_list"]):
+        raise ValueError("an evaluation is an object with a 'k_list' of numbers")
+    return doc
+
+
 def cmd_report(args) -> int:
     run, cfg = _prepare_run(args)
-    stored = json.loads(artifact(run, EVALUATION_JSON).read_text(encoding="utf-8"))
+    stored = storage.load_json(artifact(run, EVALUATION_JSON), _evaluation_doc)
     recomputed = _evaluation(run, cfg, tuple(stored["k_list"]))
     if recomputed != stored:
         raise StageError(
@@ -574,9 +589,13 @@ def cmd_report(args) -> int:
             " an artifact changed after evaluate ran"
         )
     report = {"evaluation": recomputed}
-    for key, name in (("detector", DETECTOR_METRICS_FILE), ("calibration", CALIBRATION_FILE)):
+    for key, name, decode in (
+            ("detector", DETECTOR_METRICS_FILE,
+             lambda doc: vars(storage.from_fields(detectors.DetectionMetrics, doc))),
+            ("calibration", CALIBRATION_FILE,
+             lambda doc: calibration.CalibrationResult.from_dict(doc).to_dict())):
         if (run / name).exists():
-            report[key] = json.loads(artifact(run, name).read_text(encoding="utf-8"))
+            report[key] = storage.load_json(artifact(run, name), decode)
     _dump_json(report, run / REPORT_JSON)
     lines = ["defense evaluation (recomputed from stored traces)", ""]
     if "detector" in report:

@@ -23,6 +23,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -94,7 +95,7 @@ def _body_lines(path) -> list[str]:
 def int_list(rec: dict, key: str, path, line_no: int) -> list[int]:
     """``rec[key]``, checked to be a list of JSON integers."""
     vals = rec[key]
-    if not isinstance(vals, list) or not all(type(i) is int for i in vals):
+    if not isinstance(vals, list) or not set(map(type, vals)) <= {int}:
         raise FormatError(path, line_no, f"{key} must be a list of integers")
     return vals
 
@@ -221,7 +222,7 @@ def vectors_matrix(vectors, dim: int) -> sparse.csr_matrix:
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum([len(v) for v in vectors], dtype=np.int64)
     indices = np.fromiter(
-        (i for v in vectors for i in v.indices), dtype=np.int64, count=int(indptr[-1])
+        chain.from_iterable(v.indices for v in vectors), dtype=np.int64, count=int(indptr[-1])
     )
     return sparse.csr_matrix(
         (np.ones(len(indices)), indices, indptr), shape=(len(vectors), dim)
@@ -268,17 +269,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path, space: FeatureSpace) -> Dataset:
     """Parse a dataset file against an already-loaded vocabulary."""
+    dim = space.dim
     samples = []
     for line_no, rec in read_records(path, "dataset", _RECORD_KEYS, ("source_id",)):
         feats = int_list(rec, "features", path, line_no)
-        if len(set(feats)) != len(feats):
+        idx = sorted(feats)  # one linear pass over the canonical, increasing form
+        if len(set(idx)) != len(idx):
             raise FormatError(path, line_no, "duplicate feature indices in record")
-        if any(i < 0 or i >= space.dim for i in feats):
-            raise FormatError(path, line_no, f"feature index out of range [0, {space.dim})")
+        if idx and (idx[0] < 0 or idx[-1] >= dim):
+            raise FormatError(path, line_no, f"feature index out of range [0, {dim})")
         try:
             samples.append(Sample(
                 id=rec["id"],
-                vector=FeatureVector.make(feats, space.dim),
+                vector=FeatureVector(tuple(idx)),
                 label=rec["label"],
                 ts=rec["ts"],
                 source_id=rec.get("source_id"),

@@ -14,10 +14,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, stats
+from scipy import sparse
 
 from malguard import nnet, storage
-from malguard.data import MALICIOUS, Dataset, FeatureVector, vectors_matrix
+from malguard.data import MALICIOUS, Dataset, FeatureVector
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -94,14 +94,17 @@ class MlpModel:
         return 0.5
 
     def decision_scores(self, x: sparse.spmatrix) -> np.ndarray:
-        logits = nnet.infer(self.net, x)
-        return 1.0 / (1.0 + np.exp(-logits.ravel()))
+        return _sigmoid(nnet.infer(self.net, x))
 
     def score_vector(self, vector: FeatureVector) -> float:
-        return float(self.decision_scores(vectors_matrix([vector], self.input_dim))[0])
+        return float(_sigmoid(nnet.infer_row(self.net, vector.as_array()))[0])
 
     def is_malicious(self, vector: FeatureVector) -> bool:
         return self.score_vector(vector) > self.decision_threshold
+
+
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-logits.ravel()))
 
 
 def _signed_labels(dataset: Dataset) -> np.ndarray:
@@ -204,8 +207,20 @@ def auroc_from_scores(scores: np.ndarray, is_positive: np.ndarray) -> float:
     n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = stats.rankdata(scores)
+    ranks = _average_ranks(np.asarray(scores))
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of *a*, each tie group at its mean rank (``scipy.stats.rankdata``)."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    new_group = np.concatenate(([True], s[1:] != s[:-1]))
+    bounds = np.append(np.flatnonzero(new_group), len(s))
+    group = np.cumsum(new_group) - 1
+    ranks = np.empty(len(s))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def evaluate(model, dataset: Dataset) -> DetectionMetrics:

@@ -122,31 +122,36 @@ def pair_from_fields(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
 
 # ---------------------------------------------------------------- scoring
 
-def _restrict(x: sparse.spmatrix, cols: np.ndarray) -> np.ndarray:
-    return np.asarray(x[:, cols].todense(), dtype=np.float64)
-
-
 def batch_scores(pair: EncoderPair, partition: SpacePartition, x: sparse.spmatrix) -> np.ndarray:
     """Incompatibility scores for a CSR batch of 0/1 rows; inference mode, no dropout.
 
-    The one score implementation. Each row's score is bit-identical however
-    the batch around it is composed (see :func:`nnet.infer`), and the
-    distance is a row-wise reduction for the same reason.
+    The batch entry of the score kernel. Each row's score is bit-identical
+    however the batch around it is composed, and equal to
+    :func:`incompatibility_score` of that row (see :func:`nnet.infer`).
     """
     if x.shape[1] != partition.dim:
         raise ValueError(f"matrix dim {x.shape[1]} != partition dim {partition.dim}")
     ps_part, ips_part = partition.split(x)
-    u = nnet.infer(pair.eps, ps_part)
-    v = nnet.infer(pair.eips, ips_part)
-    d = u - v
-    return np.sqrt(np.einsum("ij,ij->i", d, d))
+    return _distances(nnet.infer(pair.eps, ps_part), nnet.infer(pair.eips, ips_part))
 
 
 def incompatibility_score(
     pair: EncoderPair, partition: SpacePartition, vector: FeatureVector
 ) -> float:
-    """Euclidean distance between the PS and IPS embeddings of one vector."""
-    return float(batch_scores(pair, partition, vectors_matrix([vector], partition.dim))[0])
+    """Euclidean distance between the PS and IPS embeddings of one vector.
+
+    The one-row entry of the score kernel: no sparse matrix is built.
+    """
+    ps_cols, ips_cols = partition.split_row(vector.as_array())
+    u = nnet.infer_row(pair.eps, ps_cols)
+    v = nnet.infer_row(pair.eips, ips_cols)
+    return float(_distances(u, v)[0])
+
+
+def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distances, a reduction within each row."""
+    d = u - v
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
 # ---------------------------------------------------------------- losses
@@ -267,19 +272,17 @@ def build_batch(
     pm_idx = [by_source[s][rng.integers(len(by_source[s]))] for s in pm_sources]
     pm_mal = [mal_by_id[s] for s in pm_sources]
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
-    columns = (partition.ps_array(), partition.ips_array())
-    return _assemble(x, px, columns, bi, mi, pm_idx, pm_mal)
+    return _assemble(x, px, partition, bi, mi, pm_idx, pm_mal)
 
 
-def _assemble(x, px, columns, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
+def _assemble(x, px, partition, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
     """Stack the four row groups of a :class:`LossBatch` for both encoders.
 
-    *rows_p* index the pseudo matrix *px*, the other groups index *x*, and
-    *columns* holds the PS and the IPS column indices.
+    *rows_p* index the pseudo matrix *px*, the other groups index *x*.
     """
-    groups = (x[rows_b], x[rows_m2], px[rows_p], x[rows_m3])
-    ps_inputs, ips_inputs = (np.vstack([_restrict(g, cols) for g in groups]) for cols in columns)
-    return LossBatch(ps_inputs, ips_inputs, len(rows_b), len(rows_p))
+    rows = sparse.vstack([x[rows_b], x[rows_m2], px[rows_p], x[rows_m3]])
+    ps_part, ips_part = partition.split(rows)
+    return LossBatch(ps_part.toarray(), ips_part.toarray(), len(rows_b), len(rows_p))
 
 
 class CheckpointSeries:
@@ -359,7 +362,6 @@ def train(
 
     x = train_set.matrix()
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
-    columns = (partition.ps_array(), partition.ips_array())
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, *epoch_ss = root.spawn(cfg.epochs + 1)
@@ -383,7 +385,7 @@ def train(
             rows = order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
             pm = pm_chunks[bi]
             batch = _assemble(
-                x, px, columns, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
+                x, px, partition, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
             )
             loss, _, grads = batch_loss(
                 pair, batch, cfg.margin, cfg.lambdas, cfg.dropout, rng

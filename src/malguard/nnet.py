@@ -5,8 +5,9 @@ ReLU; the final layer is linear (callers apply sigmoid or distance losses on
 top). Inverted dropout can be applied to hidden activations during training.
 All math is float64 so gradient checks and bit-exact round-trips hold.
 
-Inference over sparse 0/1 inputs goes through :func:`infer`, whose output
-for a row depends on that row alone, never on the rest of the batch.
+Inference over sparse 0/1 inputs goes through :func:`infer` for a batch and
+:func:`infer_row` for one row. A row's output depends on that row alone,
+never on the rest of the batch, and both entries give it bit for bit.
 """
 
 from __future__ import annotations
@@ -100,11 +101,25 @@ def infer(mlp: Mlp, x: sparse.spmatrix) -> np.ndarray:
     """Inference output for a sparse batch of 0/1 rows, batch-invariant.
 
     Layer 0 is the scipy CSR product, which adds each row's weight rows one
-    by one in index order. The later layers run through :func:`forward` in
-    zero-padded blocks of INFER_BLOCK rows. Either way a row's output is
-    bit-identical whether it is scored alone or in any batch.
+    by one in index order, starting from zero. The later layers run through
+    :func:`_infer_tail`. A row's output is bit-identical whether it is
+    scored alone, by :func:`infer_row`, or in any batch.
     """
-    h = x.tocsr() @ mlp.weights[0]
+    return _infer_tail(mlp, x.tocsr() @ mlp.weights[0])
+
+
+def infer_row(mlp: Mlp, cols: np.ndarray) -> np.ndarray:
+    """:func:`infer` of the one 0/1 row whose active columns are *cols*, increasing.
+
+    Layer 0 reduces the gathered weight rows over axis 0 from zero, which
+    adds them in index order as the CSR product does. Returns a 1-row array.
+    """
+    h = np.add.reduce(mlp.weights[0][cols], axis=0, initial=0.0)
+    return _infer_tail(mlp, h[None, :])
+
+
+def _infer_tail(mlp: Mlp, h: np.ndarray) -> np.ndarray:
+    """Layer 0's bias and the later layers, in zero-padded INFER_BLOCK-row blocks."""
     h += mlp.biases[0]
     if len(mlp.weights) == 1:
         return h
@@ -115,7 +130,8 @@ def infer(mlp: Mlp, x: sparse.spmatrix) -> np.ndarray:
         block = h[lo : lo + INFER_BLOCK]
         rows = len(block)
         if rows < INFER_BLOCK:
-            block = np.vstack([block, np.zeros((INFER_BLOCK - rows, h.shape[1]))])
+            block = np.zeros((INFER_BLOCK, h.shape[1]))
+            block[:rows] = h[lo:]
         out[lo : lo + rows] = forward(tail, block)[0][:rows]
     return out
 

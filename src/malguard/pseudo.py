@@ -2,10 +2,11 @@
 
 For each malicious source the generator makes up to ``budget`` attempts.
 Each attempt draws a subset size k uniformly from {1..|ps|}, then a uniform
-k-subset of PS indices, and switches those bits on in a copy of the source
-(additive mode; an xor "toggle" mode is available as a config switch). The
-first attempt the detector classifies as benign is kept; sources whose
-budget runs out are dropped and logged. Imperturbable coordinates are never
+k-subset of PS indices, and switches those bits on in a copy of the source.
+Generation is additive only, like the perturbation grammar the partition was
+quantified from: no attempt clears a feature its source has. The first
+attempt the detector classifies as benign is kept; sources whose budget runs
+out are dropped and logged. Imperturbable coordinates are never
 touched, so every output is identical to its source on IPS.
 
 Per-source RNG streams are derived from (seed, source id), so results do not
@@ -51,8 +52,8 @@ def generate(
     """Generate at most one detector-benign pseudo-adversarial sample per source."""
     if budget < 1:
         raise ValueError(f"attempt budget must be >= 1, got {budget}")
-    if mode not in ("add", "toggle"):
-        raise ValueError(f"mode must be 'add' or 'toggle', got {mode!r}")
+    if mode != "add":
+        raise ValueError(f"mode must be 'add', got {mode!r}")
     if any(s.label != MALICIOUS for s in malicious):
         raise ValueError("pseudo-adversarial sources must all be labeled malicious")
     ps = partition.ps_array()
@@ -71,11 +72,7 @@ def generate(
         for attempt in range(1, budget + 1):
             k = int(rng.integers(1, kmax + 1))
             flips = rng.choice(ps, size=k, replace=False)
-            if mode == "add":
-                candidate = base | set(int(i) for i in flips)
-            else:
-                candidate = base.symmetric_difference(int(i) for i in flips)
-            vector = FeatureVector.make(candidate, partition.dim)
+            vector = FeatureVector.make(base | set(int(i) for i in flips), partition.dim)
             if not model.is_malicious(vector):
                 hit = PseudoAdvSample(source.id, vector, attempt)
                 break

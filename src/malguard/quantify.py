@@ -62,9 +62,9 @@ class SpacePartition:
         """The PS columns and the IPS columns of a CSR matrix, in that order.
 
         Each row keeps its entries in their order, so a row's part of either
-        half does not depend on the other rows. Same result as scipy column
-        indexing in about half its time on the one-row matrices of per-vector
-        scoring.
+        half does not depend on the other rows, and equals what
+        :meth:`split_row` gives for that row alone. Same result as scipy
+        column indexing, without its per-call overhead.
         """
         x = x.tocsr()
         in_ps, position = self._column_map
@@ -77,6 +77,12 @@ class SpacePartition:
                 shape=(x.shape[0], width),
             ))
         return halves[0], halves[1]
+
+    def split_row(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The PS columns and the IPS columns of one row's active features, in order."""
+        in_ps, position = self._column_map
+        side = in_ps[indices]
+        return position[indices[side]], position[indices[~side]]
 
     @cached_property
     def _column_map(self) -> tuple[np.ndarray, np.ndarray]:

@@ -6,12 +6,14 @@ names the container type, plus one ``.npy`` entry per array; only
 them. Entries are written in sorted order, uncompressed, with fixed
 timestamps, so identical contents always produce identical bytes. That
 property is what lets a rebuild from the same config reproduce a container
-file exactly. Content digests and the scheme that fans a root seed out to
-named stages live here too.
+file exactly. The JSON documents a verb reads back go through
+:func:`load_json`. Content digests and the scheme that fans a root seed out
+to named stages live here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -66,6 +68,30 @@ def load_container(path, fmt: str, decode):
         except Exception as exc:
             message = f"malformed container: {type(exc).__name__}: {exc}"
             raise FormatError(path, None, message) from exc
+
+
+def load_json(path, decode):
+    """``decode(document)`` of the JSON file at *path*; whatever reading, parsing
+    or decoding raises becomes one :class:`FormatError` naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            return decode(json.loads(fh.read().decode("utf-8")))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise FormatError(path, None, f"malformed document: {type(exc).__name__}: {exc}") from exc
+
+
+def from_fields(cls, doc):
+    """``cls(**doc)`` for a JSON object holding exactly the fields of dataclass *cls*,
+    where a field annotated ``int`` holds an int and one annotated ``float`` a number."""
+    fields = dataclasses.fields(cls)
+    if not isinstance(doc, dict) or doc.keys() != {f.name for f in fields}:
+        raise ValueError(f"expected an object with the keys {sorted(f.name for f in fields)}")
+    for f in fields:
+        kind = getattr(f.type, "__name__", f.type)  # a string under postponed annotations
+        allowed = {"int": (int,), "float": (int, float)}.get(kind)
+        if allowed and type(doc[f.name]) not in allowed:
+            raise ValueError(f"{f.name} must be of type {kind}, got {doc[f.name]!r}")
+    return cls(**doc)
 
 
 def sha256_hex(data: bytes) -> str:

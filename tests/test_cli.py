@@ -1,9 +1,13 @@
 """Run-directory workflow: every verb, manifest bookkeeping, reproducibility."""
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 import zipfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +411,32 @@ def test_config_value_of_the_wrong_type_is_rejected(tmp_path, capsys):
     # an int fits a float default and a number a null one
     config.write_text(json.dumps({"calibration": {"control_rate": 5}, "detector": {"lr": 1}}))
     assert cli.resolve_config(str(config), None)["detector"]["lr"] == 1
+
+
+def test_train_detector_rejects_a_set_value_of_another_type(run_dir, tmp_path, capsys):
+    # null passes the config check for any number; the trainer's default decides
+    run, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    config = tmp_path / "bad.json"
+    for detector, key, value in (({"epochs": 2.5}, "'detector.epochs'", "2.5"),
+                                 ({"kind": "mlp", "epochs": 1.0}, "'detector.epochs'", "1.0")):
+        config.write_text(json.dumps({**TINY, "detector": detector}))
+        code = cli.main(["train-detector", "--run-dir", str(copy), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error [train-detector]: config {config}:"
+                                           f" key {key} has the wrong type: {value}\n")
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, malguard.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 
 def test_attack_rejects_a_sample_limit_below_one(run_dir, tmp_path, capsys):

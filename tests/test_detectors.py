@@ -89,6 +89,8 @@ def test_mlp_scores_are_batch_invariant():
         FeatureVector.make(rng.choice(dim, size=rng.integers(0, 50), replace=False), dim)
         for _ in range(37)
     ]
+    # no feature, the last feature alone, and every feature
+    vectors += [FeatureVector.make(f, dim) for f in ([], [dim - 1], range(dim))]
     x = vectors_matrix(vectors, dim)
     full = model.decision_scores(x)
     perm = rng.permutation(len(vectors))
@@ -127,6 +129,27 @@ def test_auroc_frozen_cases():
     assert detectors.auroc_from_scores(np.array([0.9, 0.8, 0.2, 0.1]), y) == 0.0
     # one discordant pair out of four: 0.75
     assert detectors.auroc_from_scores(np.array([0.1, 0.8, 0.2, 0.9]), y) == 0.75
+
+
+def test_auroc_equals_the_scipy_rankdata_form():
+    from scipy import stats
+
+    def reference(scores, pos):
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        if n_pos == 0 or n_neg == 0:
+            return float("nan")
+        ranks = stats.rankdata(scores)
+        return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+    rng = np.random.default_rng(4)
+    cases = [rng.normal(size=200), rng.integers(0, 6, size=200).astype(float),
+             np.full(50, 0.25), np.array([0.0, -0.0, 1.0, 1.0]), np.array([3.5])]
+    for scores in cases:
+        assert np.array_equal(detectors._average_ranks(scores), stats.rankdata(scores))
+        for _ in range(5):
+            pos = rng.random(len(scores)) < 0.4
+            got, want = detectors.auroc_from_scores(scores, pos), reference(scores, pos)
+            assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_auroc_invariant_under_monotone_transform():

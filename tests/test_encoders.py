@@ -1,11 +1,12 @@
 """Contrastive encoder pair: widths, losses, gradients, checkpoints."""
 import numpy as np
 import pytest
+from scipy import sparse
 
 from malguard.data import (
     BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVector, Sample, vectors_matrix,
 )
-from malguard.detectors import LinearModel
+from malguard.detectors import LinearModel, MlpModel
 from malguard import encoders, nnet, pseudo
 from malguard.encoders import CheckpointSeries, TrainConfig
 from malguard.quantify import SpacePartition
@@ -96,6 +97,8 @@ def test_scores_are_batch_invariant():
         FeatureVector.make(rng.choice(dim, size=rng.integers(0, 60), replace=False), dim)
         for _ in range(61)
     ]
+    # no feature, PS features only, IPS features only
+    vectors += [FeatureVector.make(f, dim) for f in ([], part.ps[:40], part.ips[-40:])]
     x = vectors_matrix(vectors, dim)
     full = encoders.batch_scores(pair, part, x)
     perm = rng.permutation(len(vectors))
@@ -105,6 +108,22 @@ def test_scores_are_batch_invariant():
         assert np.array_equal(encoders.batch_scores(pair, part, x[rows]), full[rows])
     singles = [encoders.incompatibility_score(pair, part, v) for v in vectors]
     assert singles == full.tolist()
+
+
+def test_one_vector_scores_build_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-vector score went through the batch path")
+
+    part = SpacePartition.from_ps([0, 2, 4], 9)
+    cfg = TrainConfig(embed_dim=4, width_factor=2, max_hidden=16)
+    pair = encoders.init_pair(part, cfg, np.random.SeedSequence(7))
+    mlp = MlpModel(nnet.init_mlp([9, 8, 1], np.random.default_rng(0)))
+    v = FeatureVector.make([0, 3, 4, 8], 9)
+    want = (encoders.incompatibility_score(pair, part, v), mlp.score_vector(v))
+    for owner, name in ((nnet, "infer"), (SpacePartition, "split"),
+                        (sparse, "csr_matrix"), (sparse, "csr_array")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert (encoders.incompatibility_score(pair, part, v), mlp.score_vector(v)) == want
 
 
 def test_init_pair_shapes_and_determinism():

@@ -18,13 +18,14 @@ import zipfile
 
 import pytest
 
-from malguard import attacks, cli, data, detectors, encoders, pipeline, problem_space, quantify
+from malguard import attacks, calibration, cli, data, detectors, encoders, pipeline
+from malguard import problem_space, quantify
 from malguard import storage
 from test_cli import CHAIN, TINY, run_verbs
 
 TRACES = [f"traces-{mode}.jsonl" for mode in ("greedy", "adaptive1", "adaptive2")]
 CONTAINERS = (cli.DETECTOR_FILE, cli.ENCODERS_FILE, cli.BUNDLE_FILE)
-JSON_DOCS = (cli.CONFIG_FILE, cli.MANIFEST_FILE)
+JSON_DOCS = (cli.CONFIG_FILE, cli.MANIFEST_FILE, cli.CALIBRATION_FILE, cli.EVALUATION_JSON)
 CALIBRATE, DEFEND = ["calibrate"], ["defend", "--vectors"]
 # The verb that reads each artifact; the partition with the planted truth is read by none.
 CONSUMERS = {
@@ -44,6 +45,9 @@ CONSUMERS = {
     cli.CONFIG_FILE: CALIBRATE,
     cli.MANIFEST_FILE: CALIBRATE,
 }
+# The stored results that a verb reads back, with that verb. Their mutants come after
+# those of CONSUMERS, whose mutants they therefore leave as they were.
+DOCS = {cli.CALIBRATION_FILE: ["build-defense"], cli.EVALUATION_JSON: ["report"]}
 # One value of each JSON type; a type swap replaces a value by one of another type.
 SWAPS = (["x"], 7, "x", True, None)
 
@@ -73,6 +77,9 @@ def readers(run):
         cli.BUNDLE_FILE: pipeline.load_bundle,
         cli.CONFIG_FILE: lambda p: cli.resolve_config(str(p), None),
         cli.MANIFEST_FILE: lambda p: cli._load_manifest(cli.RunDir(p.parent)),
+        cli.CALIBRATION_FILE: lambda p: storage.load_json(
+            p, calibration.CalibrationResult.from_dict),
+        cli.EVALUATION_JSON: lambda p: storage.load_json(p, cli._evaluation_doc),
     })
     return table
 
@@ -180,7 +187,7 @@ def _swap_record(rng, blob):
 
 def all_mutants(run, seed=20240601):
     rng = random.Random(seed)
-    for name in sorted(CONSUMERS):
+    for name in [*sorted(CONSUMERS), *DOCS]:
         for kind, blob in mutants(name, (run / name).read_bytes(), rng, per_kind=6):
             yield name, kind, blob
 
@@ -227,15 +234,25 @@ def _install(run, name, blob):
 
 
 def test_verbs_fail_on_mutants_with_one_error_line(pristine, tmp_path):
+    sampled = [m for m in all_mutants(pristine) if CONSUMERS.get(m[0])][::4]
+    assert 90 <= len(sampled) <= 130
+    assert _verb_exit_codes(pristine, tmp_path, sampled) == {0, 1}
+
+
+def test_verbs_fail_on_stored_result_mutants_with_one_error_line(pristine, tmp_path):
+    sampled = [m for m in all_mutants(pristine) if m[0] in DOCS]
+    assert _verb_exit_codes(pristine, tmp_path, sampled) == {0, 1}
+
+
+def _verb_exit_codes(pristine, tmp_path, sampled):
+    """Exit codes of each mutant's verb, checking that a failure is one error line."""
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(TINY))
-    sampled = [m for m in all_mutants(pristine) if CONSUMERS[m[0]]][::4]
-    assert 90 <= len(sampled) <= 130
     codes = set()
     for i, (name, kind, blob) in enumerate(sampled):
         run = tmp_path / f"run{i}"
         shutil.copytree(pristine, run)
-        verb = CONSUMERS[name]
+        verb = CONSUMERS.get(name) or DOCS[name]
         if name == cli.CONFIG_FILE:
             mutant_config = tmp_path / f"config{i}.json"
             mutant_config.write_bytes(blob)
@@ -248,7 +265,7 @@ def test_verbs_fail_on_mutants_with_one_error_line(pristine, tmp_path):
         assert len(errors) == (code == 1) and "Traceback" not in err, (name, kind, err)
         codes.add(code)
         shutil.rmtree(run)
-    assert codes == {0, 1}
+    return codes
 
 
 def _meta_edit(**changes):
@@ -295,6 +312,8 @@ CASES = {
     "list perturbation id": (cli.PERTURBATIONS_FILE, _first_record(id=["x"]), ["quantify"]),
     "partition dim below 1": (cli.PARTITION_FILE, _first_record(dim=-1, ips=[], ps=[]), CALIBRATE),
     "manifest list": (cli.MANIFEST_FILE, lambda b: b"[1]\n", ["evaluate"]),
+    "calibration list": (cli.CALIBRATION_FILE, lambda b: b"[1]\n", ["build-defense"]),
+    "evaluation without k_list": (cli.EVALUATION_JSON, lambda b: b"{}\n", ["report"]),
 }
 
 
@@ -320,3 +339,13 @@ def test_attack_rejects_the_pipeline_target(pristine, tmp_path):
     code, err = _run_verb(run, ["attack", "--mode", "greedy"], config)
     assert code == 1
     assert err.startswith("error [attack]: target must be one of") and err.count("\n") == 1
+
+
+def test_gen_pseudo_rejects_the_toggle_mode(pristine, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(pristine, run)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({**TINY, "pseudo": {**TINY["pseudo"], "mode": "toggle"}}))
+    code, err = _run_verb(run, ["gen-pseudo"], config)
+    assert code == 1
+    assert err == "error [gen-pseudo]: mode must be 'add', got 'toggle'\n"

@@ -94,3 +94,30 @@ def test_flat_params_aliases_storage():
     params = nnet.flat_params([mlp])
     params[0][0, 0] = 42.0
     assert mlp.weights[0][0, 0] == 42.0
+
+
+def test_axis0_reduction_adds_rows_in_index_order():
+    # infer_row's layer 0 relies on this numpy behaviour: reducing a
+    # C-contiguous gather over axis 0 adds its rows one by one, as the CSR
+    # product does. Pairwise or reordered sums of these rows give 0 or 2.
+    rows = np.array([[1e16], [1.0], [-1e16], [1.0]])
+    assert np.add.reduce(rows, axis=0, initial=0.0)[0] == 1.0
+    wide = np.random.default_rng(0).normal(size=(300, 64)) * 10.0 ** np.arange(-8, 8, 0.25)
+    in_order = np.zeros(64)
+    for row in wide:
+        in_order = in_order + row
+    assert np.array_equal(np.add.reduce(wide, axis=0, initial=0.0), in_order)
+
+
+def test_infer_row_equals_infer_of_each_batch_row():
+    from scipy import sparse
+
+    rng = np.random.default_rng(1)
+    mlp = nnet.init_mlp([40, 32, 16, 4], rng)
+    dense = (rng.random((19, 40)) < 0.3).astype(np.float64)
+    dense[3] = 0.0  # an empty row
+    x = sparse.csr_matrix(dense)
+    batch = nnet.infer(mlp, x)
+    for i in range(x.shape[0]):
+        row = nnet.infer_row(mlp, x[i].indices)
+        assert row.shape == (1, 4) and np.array_equal(row[0], batch[i])

@@ -1,4 +1,5 @@
 """Deterministic containers and seed fan-out."""
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,26 @@ def test_load_container_turns_every_failure_into_one_format_error(tmp_path):
             storage.load_container(p, "x-v1", lambda meta, arrays: meta)
     with pytest.raises(OSError):
         storage.load_container(tmp_path / "absent.zip", "x-v1", lambda meta, arrays: meta)
+
+
+@dataclass(frozen=True)
+class _Doc:
+    count: int
+    rate: float
+    names: list
+
+
+def test_load_json_checks_fields_and_names_the_file(tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text('{"count": 2, "rate": 1, "names": ["a"]}')
+    assert storage.load_json(p, lambda doc: storage.from_fields(_Doc, doc)) == _Doc(2, 1, ["a"])
+    for bad in (b"[1]", b"{}", b'{"count": 2.0, "rate": 1, "names": []}',
+                b'{"count": true, "rate": 1, "names": []}',
+                b'{"count": 2, "rate": "1", "names": []}',
+                b'{"count": 2, "rate": 1, "names": [], "extra": 0}', b"{", b"\xff"):
+        p.write_bytes(bad)
+        with pytest.raises(storage.FormatError, match=f"^{p}: malformed document: "):
+            storage.load_json(p, lambda doc: storage.from_fields(_Doc, doc))
 
 
 def test_stable_seed_is_stable():
