@@ -122,6 +122,10 @@ def pair_from_fields(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
 
 # ---------------------------------------------------------------- scoring
 
+def _restrict(x: sparse.spmatrix, cols: np.ndarray) -> np.ndarray:
+    return np.asarray(x[:, cols].todense(), dtype=np.float64)
+
+
 def batch_scores(pair: EncoderPair, partition: SpacePartition, x: sparse.spmatrix) -> np.ndarray:
     """Incompatibility scores for a CSR batch of 0/1 rows; inference mode, no dropout.
 
@@ -272,17 +276,19 @@ def build_batch(
     pm_idx = [by_source[s][rng.integers(len(by_source[s]))] for s in pm_sources]
     pm_mal = [mal_by_id[s] for s in pm_sources]
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
-    return _assemble(x, px, partition, bi, mi, pm_idx, pm_mal)
+    columns = (partition.ps_array(), partition.ips_array())
+    return _assemble(x, px, columns, bi, mi, pm_idx, pm_mal)
 
 
-def _assemble(x, px, partition, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
+def _assemble(x, px, columns, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
     """Stack the four row groups of a :class:`LossBatch` for both encoders.
 
-    *rows_p* index the pseudo matrix *px*, the other groups index *x*.
+    *rows_p* index the pseudo matrix *px*, the other groups index *x*, and
+    *columns* holds the PS and the IPS column indices.
     """
-    rows = sparse.vstack([x[rows_b], x[rows_m2], px[rows_p], x[rows_m3]])
-    ps_part, ips_part = partition.split(rows)
-    return LossBatch(ps_part.toarray(), ips_part.toarray(), len(rows_b), len(rows_p))
+    groups = (x[rows_b], x[rows_m2], px[rows_p], x[rows_m3])
+    ps_inputs, ips_inputs = (np.vstack([_restrict(g, cols) for g in groups]) for cols in columns)
+    return LossBatch(ps_inputs, ips_inputs, len(rows_b), len(rows_p))
 
 
 class CheckpointSeries:
@@ -362,6 +368,7 @@ def train(
 
     x = train_set.matrix()
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
+    columns = (partition.ps_array(), partition.ips_array())
 
     root = np.random.SeedSequence(cfg.seed)
     init_ss, *epoch_ss = root.spawn(cfg.epochs + 1)
@@ -385,7 +392,7 @@ def train(
             rows = order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
             pm = pm_chunks[bi]
             batch = _assemble(
-                x, px, partition, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
+                x, px, columns, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
             )
             loss, _, grads = batch_loss(
                 pair, batch, cfg.margin, cfg.lambdas, cfg.dropout, rng

@@ -111,10 +111,16 @@ def infer(mlp: Mlp, x: sparse.spmatrix) -> np.ndarray:
 def infer_row(mlp: Mlp, cols: np.ndarray) -> np.ndarray:
     """:func:`infer` of the one 0/1 row whose active columns are *cols*, increasing.
 
-    Layer 0 reduces the gathered weight rows over axis 0 from zero, which
-    adds them in index order as the CSR product does. Returns a 1-row array.
+    Layer 0 adds the gathered weight rows one by one in index order,
+    starting from zero, as the CSR product does. Returns a 1-row array.
     """
-    h = np.add.reduce(mlp.weights[0][cols], axis=0, initial=0.0)
+    w0 = mlp.weights[0]
+    if w0.shape[1] == 1:
+        # numpy reduces a lone column pairwise; a running sum keeps the order.
+        h = np.cumsum(np.concatenate(([0.0], w0[cols, 0])))[-1:]
+    else:
+        # Each gathered row is added whole to the accumulator, in order.
+        h = np.add.reduce(w0[cols], axis=0, initial=0.0)
     return _infer_tail(mlp, h[None, :])
 
 

@@ -98,6 +98,19 @@ def test_mlp_scores_are_batch_invariant():
     rows = np.sort(rng.choice(len(vectors), size=11, replace=False))
     assert np.array_equal(model.decision_scores(x[rows]), full[rows])
     assert [model.score_vector(v) for v in vectors] == full.tolist()
+    # A logistic model (no hidden layer) and a one-unit first hidden layer,
+    # where numpy would sum a vector's weights pairwise from eight features
+    # on. Layer-0 weights of widely spread magnitudes make a reordering
+    # show; a negative output weight keeps the logit negative, where the
+    # sigmoid does not round the difference away.
+    for dims in ([dim, 1], [dim, 1, 1]):
+        net = nnet.init_mlp(dims, rng)
+        net.weights[0] = np.abs(net.weights[0]) * 10.0 ** rng.uniform(-6, 0.5, size=(dim, 1))
+        net.weights[-1] = -4.0 * np.abs(net.weights[-1])
+        model = detectors.MlpModel(net)
+        full = model.decision_scores(x)
+        assert np.array_equal(model.decision_scores(x[perm]), full[perm])
+        assert [model.score_vector(v) for v in vectors] == full.tolist()
 
 
 def test_train_rejects_single_class_data():

@@ -97,11 +97,17 @@ def test_flat_params_aliases_storage():
 
 
 def test_axis0_reduction_adds_rows_in_index_order():
-    # infer_row's layer 0 relies on this numpy behaviour: reducing a
-    # C-contiguous gather over axis 0 adds its rows one by one, as the CSR
-    # product does. Pairwise or reordered sums of these rows give 0 or 2.
+    # infer_row's layer 0 relies on this numpy behaviour: reducing a gather
+    # of two or more columns over axis 0 adds its rows one by one, as the
+    # CSR product does. Pairwise or reordered sums of these rows give 0 or 2.
     rows = np.array([[1e16], [1.0], [-1e16], [1.0]])
     assert np.add.reduce(rows, axis=0, initial=0.0)[0] == 1.0
+    # From eight rows on, numpy sums a lone column pairwise, which gives 0
+    # here, so infer_row takes a running sum from zero for a one-unit layer 0.
+    col = np.array([1e16, 1.0, -1e16, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.cumsum(np.concatenate(([0.0], col)))[-1] == 1.0
+    pair = np.stack([col, -col], axis=1)
+    assert np.array_equal(np.add.reduce(pair, axis=0, initial=0.0), [1.0, -1.0])
     wide = np.random.default_rng(0).normal(size=(300, 64)) * 10.0 ** np.arange(-8, 8, 0.25)
     in_order = np.zeros(64)
     for row in wide:
@@ -116,8 +122,15 @@ def test_infer_row_equals_infer_of_each_batch_row():
     mlp = nnet.init_mlp([40, 32, 16, 4], rng)
     dense = (rng.random((19, 40)) < 0.3).astype(np.float64)
     dense[3] = 0.0  # an empty row
+    dense = np.vstack([dense, np.ones(40)])  # every feature
     x = sparse.csr_matrix(dense)
-    batch = nnet.infer(mlp, x)
-    for i in range(x.shape[0]):
-        row = nnet.infer_row(mlp, x[i].indices)
-        assert row.shape == (1, 4) and np.array_equal(row[0], batch[i])
+    # A one-unit layer 0, where numpy would sum a row's weights pairwise;
+    # weights of widely spread magnitudes make any reordering show.
+    one_unit = [nnet.init_mlp(dims, rng) for dims in ([40, 1], [40, 1, 1])]
+    for net in one_unit:
+        net.weights[0] *= 10.0 ** rng.uniform(-8, 8, size=(40, 1))
+    for net in [mlp, *one_unit]:
+        batch = nnet.infer(net, x)
+        for i in range(x.shape[0]):
+            row = nnet.infer_row(net, x[i].indices)
+            assert row.shape == (1, net.dims[-1]) and np.array_equal(row[0], batch[i])
