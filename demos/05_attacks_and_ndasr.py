@@ -39,8 +39,7 @@ table = calibration.score_table(calib, det, series, part)
 bundles = {k: pipeline.bundle_from_calibration(
                series, calibration.calibrate_table(table, k), det, part)
            for k in (10.0, 5.0, 1.0)}
-report = attacks.evaluate_defense(traces, list(bundles.values()))
-for row in report.rows:
+for row in attacks.evaluate_defense(traces, list(bundles.values())):
     print(f"  K={row.control_rate:>4}: ASR {row.asr_before:.2f} -> {row.asr_after:.2f}, "
           f"NDASR {row.ndasr:.2f} (threshold {row.threshold:.3f}, epoch {row.best_epoch})")
 

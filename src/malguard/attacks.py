@@ -80,12 +80,6 @@ def pipeline_oracle(bundle, detector):
     return query
 
 
-def _attack_rng(seed: int, sample_id: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, storage.stable_seed(sample_id)])
-    )
-
-
 def has_applicable(vector: FeatureVector, perturbations) -> bool:
     """Whether any perturbation both applies to the vector and changes it."""
     active = vector.as_set()
@@ -106,7 +100,7 @@ def greedy_attack(
                 f"perturbation {p.id!r} adds features outside the perturbable space"
             )
     dim = partition.dim
-    rng = _attack_rng(cfg.seed, x_m.id)
+    rng = storage.id_rng(cfg.seed, x_m.id)
     current = set(x_m.vector.indices)
     applied: list[str] = []
     applied_set: set[str] = set()
@@ -284,17 +278,7 @@ class EvalRow:
     ndasr: float | None  # None when no attack succeeded before the defense
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Defense impact at each requested TNIR budget, from one trace set."""
-
-    rows: tuple[EvalRow, ...]
-
-    def to_dict(self) -> dict:
-        return {"rows": [vars(r) | {} for r in self.rows]}
-
-
-def evaluate_defense(traces: list[AttackTrace], bundles) -> EvalReport:
+def evaluate_defense(traces: list[AttackTrace], bundles) -> tuple[EvalRow, ...]:
     """Re-score the stored traces with the defense calibrated at each budget.
 
     *bundles* holds one defense bundle per control rate, in row order; each
@@ -316,7 +300,7 @@ def evaluate_defense(traces: list[AttackTrace], bundles) -> EvalReport:
                 ndasr=ndasr(asr_before, asr_after) if asr_before > 0.0 else None,
             )
         )
-    return EvalReport(tuple(rows))
+    return tuple(rows)
 
 
 def save_traces(traces: list[AttackTrace], path) -> None:

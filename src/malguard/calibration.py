@@ -3,8 +3,9 @@
 The calibration set is split by the detector's own verdicts into true
 negatives (benign, predicted benign) and false negatives (malicious,
 predicted benign). For every checkpoint the threshold is set at the
-(100 - K)th percentile of the true-negative scores, so close to K percent of
-true negatives score above it, and the checkpoint whose threshold catches
+(100 - K)th nearest-rank percentile of the true-negative scores, so it is
+always one of those scores and at most K percent of true negatives score
+above it, and the checkpoint whose threshold catches
 the largest fraction of false negatives wins (first epoch wins ties). A
 sample counts as flagged only when its score is strictly greater than the
 threshold.
@@ -58,20 +59,21 @@ def fnir(scores, threshold: float) -> float:
     return float((arr > threshold).mean())
 
 
-def percentile_threshold(scores, control_rate: float, method: str = "nearest_rank") -> float:
-    """Threshold at the (100 - control_rate)th percentile of the scores."""
+def check_control_rate(control_rate: float) -> None:
+    """ValueError unless the TNIR budget lies in (0, 100) percent."""
+    if not 0.0 < control_rate < 100.0:
+        raise ValueError(f"control rate must be in (0, 100), got {control_rate}")
+
+
+def percentile_threshold(scores, control_rate: float) -> float:
+    """The (100 - control_rate)th nearest-rank percentile: the score of rank
+    ceil((100 - control_rate) / 100 * n) among the n sorted scores."""
     arr = np.sort(np.asarray(scores, dtype=np.float64))
     if arr.size == 0:
         raise CalibrationError("cannot take a percentile of an empty score set")
-    if not 0.0 < control_rate < 100.0:
-        raise ValueError(f"control rate must be in (0, 100), got {control_rate}")
-    p = 100.0 - control_rate
-    if method == "nearest_rank":
-        rank = max(1, math.ceil(p / 100.0 * arr.size))
-        return float(arr[rank - 1])
-    if method == "linear":
-        return float(np.percentile(arr, p, method="linear"))
-    raise ValueError(f"unknown percentile method {method!r}")
+    check_control_rate(control_rate)
+    rank = max(1, math.ceil((100.0 - control_rate) / 100.0 * arr.size))
+    return float(arr[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,7 @@ class CalibrationResult:
     def from_dict(cls, doc: dict) -> "CalibrationResult":
         """Inverse of :meth:`to_dict`; ValueError for a document of any other shape."""
         result = storage.from_fields(cls, doc)
+        check_control_rate(result.control_rate)
         if not isinstance(result.table, list):
             raise ValueError(f"table must be a list, got {result.table!r}")
         table = tuple(storage.from_fields(EpochCalibration, row) for row in result.table)
@@ -158,14 +161,12 @@ def score_table(
     return ScoreTable(tuple(tn), tuple(fn))
 
 
-def calibrate_table(
-    table: ScoreTable, control_rate: float = 5.0, method: str = "nearest_rank"
-) -> CalibrationResult:
+def calibrate_table(table: ScoreTable, control_rate: float = 5.0) -> CalibrationResult:
     """Pick the checkpoint and threshold maximizing FNIR at the TNIR budget."""
     rows = []
     best = 0
     for epoch, (tn_scores, fn_scores) in enumerate(zip(table.tn, table.fn)):
-        t_n = percentile_threshold(tn_scores, control_rate, method)
+        t_n = percentile_threshold(tn_scores, control_rate)
         # score_table has warned once already when there are no false negatives.
         f_n = fnir(fn_scores, t_n) if fn_scores.size else 0.0
         rows.append(EpochCalibration(epoch, t_n, f_n))
@@ -187,7 +188,6 @@ def calibrate(
     series: encoders.CheckpointSeries,
     partition,
     control_rate: float = 5.0,
-    method: str = "nearest_rank",
 ) -> CalibrationResult:
     """Score every checkpoint once and calibrate at one TNIR budget."""
-    return calibrate_table(score_table(calib, detector, series, partition), control_rate, method)
+    return calibrate_table(score_table(calib, detector, series, partition), control_rate)

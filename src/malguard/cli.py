@@ -28,7 +28,6 @@ SPACE_FILE = "space.txt"
 DATASET_FILE = "dataset.jsonl"
 PERTURBATIONS_FILE = "perturbations.jsonl"
 TRUE_PARTITION_FILE = "partition-true.json"
-SYNTH_META_FILE = "synth-meta.json"
 TRAIN_FILE = "train.jsonl"
 CALIB_FILE = "calib.jsonl"
 TEST_FILE = "test.jsonl"
@@ -65,23 +64,19 @@ DEFAULT_CONFIG: dict = {
     # epochs and lr left null take the default of the chosen kind's trainer
     "detector": {"kind": "linear", "epochs": None, "lr": None, "l2": 1e-4,
                  "batch_size": 256, "hidden": [200, 200]},
-    "pseudo": {"budget": _DEFENSE.pseudo_budget, "mode": _DEFENSE.pseudo_mode,
-               "flip_limit": _DEFENSE.pseudo_flip_limit},
+    "pseudo": {"budget": _DEFENSE.pseudo_budget, "flip_limit": _DEFENSE.pseudo_flip_limit},
     "encoders": _json_defaults(_DEFENSE.encoder),
-    "calibration": {"control_rate": _DEFENSE.control_rate,
-                    "method": _DEFENSE.percentile_method},
+    "calibration": {"control_rate": _DEFENSE.control_rate},
     "attack": {**_json_defaults(attacks.AttackConfig()), "samples": 200},
 }
 
 
 def defense_config(cfg: dict) -> pipeline.DefenseConfig:
     """The library config of the build stages, from a resolved CLI config."""
-    pcfg, ccfg = cfg["pseudo"], cfg["calibration"]
     return pipeline.DefenseConfig(
-        pseudo_budget=pcfg["budget"], pseudo_mode=pcfg["mode"],
-        pseudo_flip_limit=pcfg["flip_limit"], control_rate=ccfg["control_rate"],
-        percentile_method=ccfg["method"], encoder=encoders.TrainConfig(**cfg["encoders"]),
-        seed=cfg["seed"],
+        pseudo_budget=cfg["pseudo"]["budget"], pseudo_flip_limit=cfg["pseudo"]["flip_limit"],
+        control_rate=cfg["calibration"]["control_rate"],
+        encoder=encoders.TrainConfig(**cfg["encoders"]), seed=cfg["seed"],
     )
 
 
@@ -234,32 +229,9 @@ def cmd_synth(args) -> int:
     data.save_dataset(bench.dataset, run / DATASET_FILE)
     problem_space.save_perturbations(bench.perturbations, run / PERTURBATIONS_FILE)
     quantify.save_partition(bench.partition, run / TRUE_PARTITION_FILE)
-    _dump_json(
-        {
-            "ps_true": [int(i) for i in bench.partition.ps],
-            "alpha": gen_cfg.alpha,
-            "main_activity": bench.layout.main_activity,
-            "mode_parameters": {
-                "n_modes": gen_cfg.n_modes,
-                "ps_mode_on": gen_cfg.ps_mode_on,
-                "ps_mode_off": gen_cfg.ps_mode_off,
-                "ips_mode_bits": gen_cfg.ips_mode_bits,
-                "ips_mode_on": gen_cfg.ips_mode_on,
-                "ips_mode_off": gen_cfg.ips_mode_off,
-                "evasion_on_benign": gen_cfg.evasion_on_benign,
-                "evasion_on_malicious": gen_cfg.evasion_on_malicious,
-            },
-            "n_benign": gen_cfg.n_benign,
-            "n_malicious": gen_cfg.n_malicious,
-            "ts_range": list(gen_cfg.ts_range),
-            "seed": gen_cfg.seed,
-        },
-        run / SYNTH_META_FILE,
-    )
     _record_stage(
         run, "synth", cfg["synth"] | {"seed": gen_cfg.seed},
-        [SPACE_FILE, DATASET_FILE, PERTURBATIONS_FILE, TRUE_PARTITION_FILE,
-         SYNTH_META_FILE],
+        [SPACE_FILE, DATASET_FILE, PERTURBATIONS_FILE, TRUE_PARTITION_FILE],
     )
     print(f"synth: {len(bench.dataset)} samples, dim {gen_cfg.dim},"
           f" {len(bench.perturbations)} perturbations")
@@ -376,36 +348,32 @@ def cmd_train_encoders(args) -> int:
     return 0
 
 
-def _calibrate(run: RunDir, control_rate: float, method: str):
+def _calibrate(run: RunDir, control_rate: float):
     space = _load_space(run)
     calib = _load_split(run, CALIB_FILE, space)
     detector = _load_detector(run)
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
     series = encoders.CheckpointSeries.load(artifact(run, ENCODERS_FILE))
-    result = calibration.calibrate(calib, detector, series, partition, control_rate, method)
+    result = calibration.calibrate(calib, detector, series, partition, control_rate)
     return result, partition, detector, series
 
 
 def cmd_calibrate(args) -> int:
     run, cfg = _prepare_run(args)
-    dcfg = defense_config(cfg)
-    rate = dcfg.control_rate if args.k is None else args.k
-    result, _, _, _ = _calibrate(run, rate, dcfg.percentile_method)
+    rate = defense_config(cfg).control_rate if args.k is None else args.k
+    result, _, _, _ = _calibrate(run, rate)
     _dump_json(result.to_dict(), run / CALIBRATION_FILE)
-    _record_stage(run, "calibrate",
-                  {"control_rate": result.control_rate, "method": dcfg.percentile_method},
-                  [CALIBRATION_FILE])
+    _record_stage(run, "calibrate", {"control_rate": result.control_rate}, [CALIBRATION_FILE])
     print(f"calibrate: K={result.control_rate} epoch {result.best_epoch}"
           f" threshold {result.threshold:.6f} fnir {result.fnir_at_threshold:.4f}")
     return 0
 
 
 def cmd_build_defense(args) -> int:
-    run, cfg = _prepare_run(args)
+    run, _ = _prepare_run(args)
     stored = storage.load_json(artifact(run, CALIBRATION_FILE),
                                calibration.CalibrationResult.from_dict)
-    result, partition, detector, series = _calibrate(
-        run, stored.control_rate, defense_config(cfg).percentile_method)
+    result, partition, detector, series = _calibrate(run, stored.control_rate)
     if result != stored:
         raise StageError(
             "stored calibration no longer matches a recomputation from the"
@@ -512,7 +480,7 @@ def cmd_defend(args) -> int:
     return 0
 
 
-def _evaluation(run: RunDir, cfg: dict, k_list) -> dict:
+def _evaluation(run: RunDir, k_list) -> dict:
     """Evaluate every stored trace set at every budget from one score table."""
     space = _load_space(run)
     traces = {
@@ -527,15 +495,14 @@ def _evaluation(run: RunDir, cfg: dict, k_list) -> dict:
     partition = quantify.load_partition(artifact(run, PARTITION_FILE))
     series = encoders.CheckpointSeries.load(artifact(run, ENCODERS_FILE))
     table = calibration.score_table(calib, detector, series, partition)
-    method = cfg["calibration"]["method"]
     bundles = [
         pipeline.bundle_from_calibration(
-            series, calibration.calibrate_table(table, k, method), detector, partition
+            series, calibration.calibrate_table(table, k), detector, partition
         )
         for k in k_list
     ]
     tables = {
-        mode: attacks.evaluate_defense(mode_traces, bundles).to_dict()["rows"]
+        mode: [asdict(row) for row in attacks.evaluate_defense(mode_traces, bundles)]
         for mode, mode_traces in traces.items()
     }
     return {"k_list": list(k_list), "attacks": tables}
@@ -563,7 +530,7 @@ def _format_evaluation(ev: dict) -> str:
 def cmd_evaluate(args) -> int:
     run, cfg = _prepare_run(args)
     k_list = tuple(args.k) if args.k else tuple(cfg["k_list"])
-    ev = _evaluation(run, cfg, k_list)
+    ev = _evaluation(run, k_list)
     _dump_json(ev, run / EVALUATION_JSON)
     text = _format_evaluation(ev)
     (run / EVALUATION_TXT).write_text(text, encoding="utf-8")
@@ -576,13 +543,15 @@ def _evaluation_doc(doc) -> dict:
     """A stored evaluation with a k_list to recompute it at; report compares the rest."""
     if not isinstance(doc, dict) or not _fits(doc.get("k_list"), DEFAULT_CONFIG["k_list"]):
         raise ValueError("an evaluation is an object with a 'k_list' of numbers")
+    for k in doc["k_list"]:
+        calibration.check_control_rate(k)
     return doc
 
 
 def cmd_report(args) -> int:
-    run, cfg = _prepare_run(args)
+    run, _ = _prepare_run(args)
     stored = storage.load_json(artifact(run, EVALUATION_JSON), _evaluation_doc)
-    recomputed = _evaluation(run, cfg, tuple(stored["k_list"]))
+    recomputed = _evaluation(run, tuple(stored["k_list"]))
     if recomputed != stored:
         raise StageError(
             "stored evaluation does not match recomputation from artifacts;"

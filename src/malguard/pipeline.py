@@ -36,10 +36,8 @@ class BuildError(RuntimeError):
 @dataclass(frozen=True)
 class DefenseConfig:
     pseudo_budget: int = 100
-    pseudo_mode: str = "add"
     pseudo_flip_limit: int | None = 20
     control_rate: float = 5.0
-    percentile_method: str = "nearest_rank"
     encoder: encoders.TrainConfig = field(default_factory=encoders.TrainConfig)
     seed: int = 0
 
@@ -102,7 +100,6 @@ def gen_pseudo(
         pam = pseudo.generate(
             sources, detector, partition, budget=cfg.pseudo_budget,
             flip_limit=cfg.pseudo_flip_limit, seed=cfg.stage_seed("gen-pseudo"),
-            mode=cfg.pseudo_mode,
         )
     if not pam:
         raise BuildError(
@@ -135,9 +132,7 @@ def build(train: Dataset, calib: Dataset, detector, perturbations, quant_apps,
     pam = gen_pseudo(sources, detector, partition, cfg)
     series = train_encoders(train, pam, partition, cfg)
     with _stage("calibrate"):
-        result = calibration.calibrate(
-            calib, detector, series, partition, cfg.control_rate, cfg.percentile_method
-        )
+        result = calibration.calibrate(calib, detector, series, partition, cfg.control_rate)
 
     metadata = {
         "config": json.loads(json.dumps(asdict(cfg))),  # tuples as lists

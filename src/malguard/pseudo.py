@@ -9,16 +9,15 @@ attempt the detector classifies as benign is kept; sources whose budget runs
 out are dropped and logged. Imperturbable coordinates are never
 touched, so every output is identical to its source on IPS.
 
-Per-source RNG streams are derived from (seed, source id), so results do not
-depend on iteration order and are stable under parallel generation.
+Each source draws from its own stream, ``storage.id_rng(seed, source id)``,
+so results do not depend on iteration order and are stable under parallel
+generation.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-
-import numpy as np
 
 from malguard import storage
 from malguard.data import MALICIOUS, Dataset, FeatureVector, Sample
@@ -34,12 +33,6 @@ class PseudoAdvSample:
     attempts_used: int
 
 
-def _source_rng(seed: int, source_id: str) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, storage.stable_seed(source_id)])
-    )
-
-
 def generate(
     malicious: list[Sample],
     model,
@@ -47,13 +40,10 @@ def generate(
     budget: int = 100,
     flip_limit: int | None = None,
     seed: int = 0,
-    mode: str = "add",
 ) -> list[PseudoAdvSample]:
     """Generate at most one detector-benign pseudo-adversarial sample per source."""
     if budget < 1:
         raise ValueError(f"attempt budget must be >= 1, got {budget}")
-    if mode != "add":
-        raise ValueError(f"mode must be 'add', got {mode!r}")
     if any(s.label != MALICIOUS for s in malicious):
         raise ValueError("pseudo-adversarial sources must all be labeled malicious")
     ps = partition.ps_array()
@@ -66,7 +56,7 @@ def generate(
     out: list[PseudoAdvSample] = []
     dropped = 0
     for source in malicious:
-        rng = _source_rng(seed, source.id)
+        rng = storage.id_rng(seed, source.id)
         base = set(source.vector.indices)
         hit = None
         for attempt in range(1, budget + 1):

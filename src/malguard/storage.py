@@ -8,7 +8,7 @@ timestamps, so identical contents always produce identical bytes. That
 property is what lets a rebuild from the same config reproduce a container
 file exactly. The JSON documents a verb reads back go through
 :func:`load_json`. Content digests and the scheme that fans a root seed out
-to named stages live here too.
+to named stages and named items live here too.
 """
 
 from __future__ import annotations
@@ -115,3 +115,9 @@ def stable_seed(text: str) -> int:
 def stage_seed(root_seed: int, stage: str) -> int:
     """Derive the seed for a named stage from the experiment root seed."""
     return stable_seed(f"{root_seed}:{stage}")
+
+
+def id_rng(seed: int, name: str) -> np.random.Generator:
+    """The random stream of the item called *name* (a sample or a source id) under
+    *seed*; it does not depend on which other items are drawn, or in what order."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stable_seed(name)]))

@@ -347,13 +347,11 @@ def bundles_at(world, control_rates):
 @pytest.mark.filterwarnings("ignore:no false negatives")
 def test_evaluate_defense_rows():
     world = toy_evaluation_world()
-    report = attacks.evaluate_defense(world[0], bundles_at(world, (10.0, 5.0)))
-    assert [row.control_rate for row in report.rows] == [10.0, 5.0]
-    for row in report.rows:
+    rows = attacks.evaluate_defense(world[0], bundles_at(world, (10.0, 5.0)))
+    assert [row.control_rate for row in rows] == [10.0, 5.0]
+    for row in rows:
         assert 0.0 <= row.tnir <= 1.0
         assert row.asr_after <= row.asr_before
-        doc = report.to_dict()
-        assert len(doc["rows"]) == 2
 
 
 @pytest.mark.filterwarnings("ignore:no false negatives")
@@ -361,7 +359,7 @@ def test_evaluate_defense_equals_from_scratch_calibration():
     world = toy_evaluation_world()
     traces, series, calib_ds, det, part = world
     rates = (10.0, 5.0, 1.0)
-    rows = attacks.evaluate_defense(traces, bundles_at(world, rates)).rows
+    rows = attacks.evaluate_defense(traces, bundles_at(world, rates))
     for k, row in zip(rates, rows):
         result = calibration.calibrate(calib_ds, det, series, part, k)
         bundle = pipeline.bundle_from_calibration(series, result, det, part)
@@ -378,17 +376,16 @@ def test_evaluate_defense_warns_once_without_false_negatives():
     assert calibration.detector_negative_scores(calib_ds, det)[1].size == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = attacks.evaluate_defense(traces, bundles_at(world, (10.0, 5.0)))
+        rows = attacks.evaluate_defense(traces, bundles_at(world, (10.0, 5.0)))
     assert [str(w.message) for w in caught] == [
         "no false negatives in calibration data; FNIR defined as 0"
     ]
-    assert [row.fnir for row in report.rows] == [0.0, 0.0]
+    assert [row.fnir for row in rows] == [0.0, 0.0]
 
 
 @pytest.mark.filterwarnings("ignore:no false negatives")
 def test_evaluate_defense_all_failed_traces_have_undefined_ndasr():
     world = toy_evaluation_world()
     failed = [replace(t, success=False) for t in world[0]]
-    report = attacks.evaluate_defense(failed, bundles_at(world, (10.0, 5.0)))
-    assert [(r.asr_before, r.asr_after, r.ndasr) for r in report.rows] == [(0.0, 0.0, None)] * 2
-    assert report.to_dict()["rows"][0]["ndasr"] is None
+    rows = attacks.evaluate_defense(failed, bundles_at(world, (10.0, 5.0)))
+    assert [(r.asr_before, r.asr_after, r.ndasr) for r in rows] == [(0.0, 0.0, None)] * 2

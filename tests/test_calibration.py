@@ -49,14 +49,6 @@ def test_percentile_threshold_small_sets():
         percentile_threshold([1.0], 100.0)
 
 
-def test_percentile_threshold_linear_method():
-    scores = np.arange(1.0, 101.0)
-    t = percentile_threshold(scores, 5.0, method="linear")
-    assert t == pytest.approx(95.05)
-    with pytest.raises(ValueError):
-        percentile_threshold(scores, 5.0, method="midpoint")
-
-
 def make_calib_setup():
     """Calibration set plus a detector that misses half the malicious rows.
 

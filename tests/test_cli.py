@@ -103,7 +103,6 @@ def test_all_artifacts_present(run_dir):
         cli.DATASET_FILE,
         cli.PERTURBATIONS_FILE,
         cli.TRUE_PARTITION_FILE,
-        cli.SYNTH_META_FILE,
         cli.TRAIN_FILE,
         cli.CALIB_FILE,
         cli.TEST_FILE,
@@ -125,6 +124,10 @@ def test_all_artifacts_present(run_dir):
     ]
     for name in expected:
         assert (run / name).exists(), name
+    # every file in the run directory is a recorded stage output, so none goes unrecorded
+    stages = json.loads((run / cli.MANIFEST_FILE).read_text())["stages"].values()
+    recorded = {name for entry in stages for name in entry["outputs"]}
+    assert {p.name for p in run.iterdir()} == recorded | {cli.CONFIG_FILE, cli.MANIFEST_FILE}
 
 
 def test_manifest_records_stage_digests(run_dir):
@@ -219,18 +222,6 @@ def test_quantified_partition_matches_ground_truth(run_dir):
     measured = quantify.load_partition(run / cli.PARTITION_FILE)
     planted = quantify.load_partition(run / cli.TRUE_PARTITION_FILE)
     assert measured == planted
-
-
-def test_synth_sidecar_contents(run_dir):
-    run, _ = run_dir
-    from malguard import quantify
-
-    meta = json.loads((run / cli.SYNTH_META_FILE).read_text())
-    planted = quantify.load_partition(run / cli.TRUE_PARTITION_FILE)
-    assert meta["alpha"] == 0.9
-    assert meta["ps_true"] == list(planted.ps)
-    assert meta["mode_parameters"]["n_modes"] == 6
-    assert meta["ts_range"] == [0, 1000000]
 
 
 def test_defend_prints_verdict_lines(run_dir, capsys):
@@ -349,12 +340,9 @@ def test_cli_defaults_match_library_defaults():
     assert cli.DEFAULT_CONFIG["attack"] == defaults(attacks.AttackConfig()) | {"samples": 200}
     dcfg = pipeline.DefenseConfig()
     assert cli.DEFAULT_CONFIG["pseudo"] == {
-        "budget": dcfg.pseudo_budget, "mode": dcfg.pseudo_mode,
-        "flip_limit": dcfg.pseudo_flip_limit,
+        "budget": dcfg.pseudo_budget, "flip_limit": dcfg.pseudo_flip_limit,
     }
-    assert cli.DEFAULT_CONFIG["calibration"] == {
-        "control_rate": dcfg.control_rate, "method": dcfg.percentile_method,
-    }
+    assert cli.DEFAULT_CONFIG["calibration"] == {"control_rate": dcfg.control_rate}
     # epochs and lr are the chosen trainer's own defaults; the rest are shared
     linear, mlp = (inspect.signature(f).parameters
                    for f in (detectors.train_linear, detectors.train_mlp))

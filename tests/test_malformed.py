@@ -292,6 +292,10 @@ def _first_record(**changes):
     return edit
 
 
+def _doc_edit(**changes):
+    return lambda blob: _dump(json.loads(blob) | changes)
+
+
 def _half(blob):
     return blob[:len(blob) // 2]
 
@@ -314,6 +318,9 @@ CASES = {
     "manifest list": (cli.MANIFEST_FILE, lambda b: b"[1]\n", ["evaluate"]),
     "calibration list": (cli.CALIBRATION_FILE, lambda b: b"[1]\n", ["build-defense"]),
     "evaluation without k_list": (cli.EVALUATION_JSON, lambda b: b"{}\n", ["report"]),
+    "evaluation k_list [0]": (cli.EVALUATION_JSON, _doc_edit(k_list=[0]), ["report"]),
+    "calibration control_rate 100": (cli.CALIBRATION_FILE, _doc_edit(control_rate=100.0),
+                                     ["build-defense"]),
 }
 
 
@@ -341,11 +348,13 @@ def test_attack_rejects_the_pipeline_target(pristine, tmp_path):
     assert err.startswith("error [attack]: target must be one of") and err.count("\n") == 1
 
 
-def test_gen_pseudo_rejects_the_toggle_mode(pristine, tmp_path):
+def test_removed_config_keys_are_rejected(pristine, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(pristine, run)
     config = tmp_path / "exp.json"
-    config.write_text(json.dumps({**TINY, "pseudo": {**TINY["pseudo"], "mode": "toggle"}}))
-    code, err = _run_verb(run, ["gen-pseudo"], config)
-    assert code == 1
-    assert err == "error [gen-pseudo]: mode must be 'add', got 'toggle'\n"
+    for section, key, value, verb in (("pseudo", "mode", "add", "gen-pseudo"),
+                                      ("calibration", "method", "linear", "calibrate")):
+        config.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}), key: value}}))
+        code, err = _run_verb(run, [verb], config)
+        assert code == 1
+        assert err == f"error [{verb}]: config {config}: unknown key '{section}.{key}'\n"

@@ -87,8 +87,6 @@ def test_generate_validates_inputs():
     model, part, sources = planted()
     with pytest.raises(ValueError):
         pseudo.generate(sources, model, part, budget=0)
-    with pytest.raises(ValueError):
-        pseudo.generate(sources, model, part, mode="remove")
     benign = Sample("b0", FeatureVector.make([], part.dim), BENIGN, 0)
     with pytest.raises(ValueError):
         pseudo.generate([benign], model, part)
