@@ -94,8 +94,9 @@ def greedy_attack(
     cfg: AttackConfig,
 ) -> AttackTrace:
     """Evade the oracle by cumulative perturbation under a strict query budget."""
+    ps = set(partition.ps)
     for p in perturbations:
-        if p.adds - set(partition.ps):
+        if p.adds - ps:
             raise ValueError(
                 f"perturbation {p.id!r} adds features outside the perturbable space"
             )
@@ -273,21 +274,24 @@ class EvalRow:
     best_epoch: int
     tnir: float
     fnir: float
-    asr_before: float
-    asr_after: float
-    ndasr: float | None  # None when no attack succeeded before the defense
+    asr_before: float | None  # None when no trace is eligible
+    asr_after: float | None
+    ndasr: float | None  # None as well when no attack succeeded before the defense
 
 
 def evaluate_defense(traces: list[AttackTrace], bundles) -> tuple[EvalRow, ...]:
     """Re-score the stored traces with the defense calibrated at each budget.
 
     *bundles* holds one defense bundle per control rate, in row order; each
-    row reports its bundle's calibration.
+    row reports its bundle's calibration. With no eligible trace the rates
+    are undefined, and the rows report them as None.
     """
     rows = []
+    eligible = any(t.eligible for t in traces)
     for bundle in bundles:
         result = bundle.calibration
-        asr_before, asr_after = offline_defense_rates(traces, bundle)
+        asr_before, asr_after = (
+            offline_defense_rates(traces, bundle) if eligible else (None, None))
         rows.append(
             EvalRow(
                 control_rate=result.control_rate,
@@ -297,7 +301,7 @@ def evaluate_defense(traces: list[AttackTrace], bundles) -> tuple[EvalRow, ...]:
                 fnir=result.fnir_at_threshold,
                 asr_before=asr_before,
                 asr_after=asr_after,
-                ndasr=ndasr(asr_before, asr_after) if asr_before > 0.0 else None,
+                ndasr=ndasr(asr_before, asr_after) if asr_before else None,
             )
         )
     return tuple(rows)

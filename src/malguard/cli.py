@@ -126,7 +126,14 @@ def resolve_config(path: str | None, seed: int | None) -> dict:
 
 
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write *obj* as RFC 8259 JSON; a NaN or infinity raises instead of being written."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _num(value, spec: str) -> str:
+    """*value* formatted by *spec*, or "-" for an undefined (None) value."""
+    return "-" if value is None else format(value, spec)
 
 
 class RunDir:
@@ -286,7 +293,7 @@ def cmd_train_detector(args) -> int:
         metrics = detectors.evaluate(model, _load_split(run, TEST_FILE, space))
         _dump_json(vars(metrics), run / DETECTOR_METRICS_FILE)
         outputs.append(DETECTOR_METRICS_FILE)
-        print(f"train-detector: {dcfg['kind']} auroc {metrics.auroc:.4f}"
+        print(f"train-detector: {dcfg['kind']} auroc {_num(metrics.auroc, '.4f')}"
               f" f1 {metrics.f1:.4f} on test")
     else:
         print(f"train-detector: {dcfg['kind']} trained on {len(train)} samples")
@@ -516,12 +523,11 @@ def _format_evaluation(ev: dict) -> str:
                  f"{'fnir':>7}  {'asr_pre':>8}  {'asr_post':>8}  {'ndasr':>7}"
         lines.append(header)
         for row in ev["attacks"][mode]:
-            nd = "-" if row["ndasr"] is None else f"{row['ndasr']:.4f}"
             lines.append(
                 f"{row['control_rate']:>6.1f}  {row['threshold']:>10.6f}  "
                 f"{row['best_epoch']:>5d}  {row['tnir']:>7.4f}  {row['fnir']:>7.4f}  "
-                f"{row['asr_before']:>8.4f}  {row['asr_after']:>8.4f}  "
-                f"{nd:>7}"
+                f"{_num(row['asr_before'], '.4f'):>8}  {_num(row['asr_after'], '.4f'):>8}  "
+                f"{_num(row['ndasr'], '.4f'):>7}"
             )
         lines.append("")
     return "\n".join(lines)
@@ -570,7 +576,7 @@ def cmd_report(args) -> int:
     if "detector" in report:
         d = report["detector"]
         lines.append(
-            f"detector: auroc {d['auroc']:.4f} f1 {d['f1']:.4f}"
+            f"detector: auroc {_num(d['auroc'], '.4f')} f1 {d['f1']:.4f}"
             f" tp {d['tp']} fp {d['fp']} tn {d['tn']} fn {d['fn']}"
         )
         lines.append("")

@@ -197,7 +197,7 @@ class DetectionMetrics:
     precision: float
     recall: float
     f1: float
-    auroc: float
+    auroc: float | None  # None when the dataset holds one class only
 
 
 def auroc_from_scores(scores: np.ndarray, is_positive: np.ndarray) -> float:
@@ -234,8 +234,9 @@ def evaluate(model, dataset: Dataset) -> DetectionMetrics:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    auroc = auroc_from_scores(scores, truth)
     return DetectionMetrics(
-        tp, fp, tn, fn, precision, recall, f1, auroc_from_scores(scores, truth)
+        tp, fp, tn, fn, precision, recall, f1, None if np.isnan(auroc) else auroc
     )
 
 

@@ -11,9 +11,10 @@ malicious sources by the same margin:
          + l2 * mean hinge(score(benign), score(malicious partner))
          + l3 * mean hinge(score(malicious source), score(pseudo partner))
 
-with hinge(low, high) = max(low - high + margin, 0). Partners are resampled
-uniformly every epoch from a seed-deterministic stream, and one checkpoint
-is kept per epoch so threshold calibration can pick the best one later.
+with hinge(low, high) = max(low - high + margin, 0). :func:`epoch_batches`
+is the one sampler of these batches: it resamples the partners uniformly
+every epoch from a seed-deterministic stream, and :func:`train` keeps one
+checkpoint per epoch so threshold calibration can pick the best one later.
 
 Hidden widths follow a geometric schedule: starting from embed_dim * width,
 widths grow by the width factor until the cap is reached, and are used
@@ -23,6 +24,7 @@ widest-first. Dropout applies to hidden activations during training only.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -122,10 +124,6 @@ def pair_from_fields(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""
 
 # ---------------------------------------------------------------- scoring
 
-def _restrict(x: sparse.spmatrix, cols: np.ndarray) -> np.ndarray:
-    return np.asarray(x[:, cols].todense(), dtype=np.float64)
-
-
 def batch_scores(pair: EncoderPair, partition: SpacePartition, x: sparse.spmatrix) -> np.ndarray:
     """Incompatibility scores for a CSR batch of 0/1 rows; inference mode, no dropout.
 
@@ -159,17 +157,6 @@ def _distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- losses
-
-def loss_benign(scores) -> float:
-    """Mean incompatibility score over a benign batch."""
-    arr = np.asarray(scores, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("empty benign score batch")
-    return float(arr.mean())
-
-def total_loss(l1: float, l2: float, l3: float, lambdas=(1.0, 1.0, 1.0)) -> float:
-    return float(lambdas[0] * l1 + lambdas[1] * l2 + lambdas[2] * l3)
-
 
 def _rank_hinges(d_low: np.ndarray, d_high: np.ndarray, margin: float):
     """Vectorized hinge values and active mask (strict: zero gradient at the kink)."""
@@ -220,7 +207,7 @@ def batch_loss(
     sp = slice(2 * nb, 2 * nb + npm)
     sm3 = slice(2 * nb + npm, 2 * nb + 2 * npm)
 
-    l1 = loss_benign(dist[sb])
+    l1 = float(dist[sb].mean())
     h2, active2 = _rank_hinges(dist[sb], dist[sm2], margin)
     l2 = float(h2.mean())
     if npm:
@@ -228,7 +215,7 @@ def batch_loss(
         l3 = float(h3.mean())
     else:
         l3 = 0.0
-    loss = total_loss(l1, l2, l3, lambdas)
+    loss = float(lambdas[0] * l1 + lambdas[1] * l2 + lambdas[2] * l3)
     if not want_grads:
         return loss, (l1, l2, l3), None
 
@@ -249,46 +236,59 @@ def batch_loss(
 
 # ---------------------------------------------------------------- training
 
-def build_batch(
-    dataset: Dataset,
+def epoch_batches(
+    train_set: Dataset,
     pseudo: list[PseudoAdvSample],
     partition: SpacePartition,
-    n_benign: int,
-    n_pm: int,
-    seed: int = 0,
-) -> LossBatch:
-    """Assemble one explicit, seed-deterministic batch (used by tests and checks)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = dataset.matrix()
-    benign_pos = dataset.label_positions(BENIGN)
-    mal_pos = dataset.label_positions(MALICIOUS)
+    batch_size: int,
+    rng: np.random.Generator,
+) -> Iterator[LossBatch]:
+    """The training batches of one epoch, the one sampler of the contrastive loss.
+
+    Every benign row appears once, in a random order, beside a malicious
+    partner drawn uniformly with replacement. Every malicious row with a
+    pseudo-adversarial variant appears once as a source, beside one of its
+    variants drawn uniformly, and the sources are spread over the batches as
+    evenly as possible. Every draw is taken from *rng* before the first batch
+    is yielded, so the caller may draw from *rng* between batches.
+    """
+    if train_set.space.dim != partition.dim:
+        raise ValueError(
+            f"dataset dim {train_set.space.dim} != partition dim {partition.dim}"
+        )
+    benign_pos = train_set.label_positions(BENIGN)
+    mal_pos = train_set.label_positions(MALICIOUS)
+    if not len(benign_pos) or not len(mal_pos):
+        raise ValueError("training requires both benign and malicious samples")
+    mal_by_id = {train_set.samples[int(i)].id: int(i) for i in mal_pos}
     by_source: dict[str, list[int]] = {}
     for i, p in enumerate(pseudo):
-        by_source.setdefault(p.source_id, []).append(i)
-    mal_by_id = {dataset.samples[i].id: i for i in mal_pos}
-    sources = [sid for sid in by_source if sid in mal_by_id]
-    if not benign_pos.size or not mal_pos.size or not sources:
-        raise ValueError("batch needs benign, malicious, and matched pseudo samples")
-    bi = rng.choice(benign_pos, size=min(n_benign, len(benign_pos)), replace=False)
-    mi = mal_pos[rng.integers(0, len(mal_pos), size=len(bi))]
-    picked = rng.choice(len(sources), size=min(n_pm, len(sources)), replace=False)
-    pm_sources = [sources[i] for i in picked]
-    pm_idx = [by_source[s][rng.integers(len(by_source[s]))] for s in pm_sources]
-    pm_mal = [mal_by_id[s] for s in pm_sources]
+        if p.source_id in mal_by_id:
+            by_source.setdefault(p.source_id, []).append(i)
+    if not by_source:
+        raise ValueError("no pseudo-adversarial sample matches a malicious training sample")
+    sources = sorted(by_source)
+    source_rows = np.asarray([mal_by_id[s] for s in sources], dtype=np.int64)
+
+    nb_total = len(benign_pos)
+    partners = mal_pos[rng.integers(0, len(mal_pos), size=nb_total)]
+    pm_pseudo = np.asarray(
+        [by_source[s][rng.integers(len(by_source[s]))] for s in sources], dtype=np.int64
+    )
+    order = rng.permutation(nb_total)
+    pm_chunks = np.array_split(rng.permutation(len(sources)), math.ceil(nb_total / batch_size))
+
+    x = train_set.matrix()
     px = vectors_matrix([p.vector for p in pseudo], partition.dim)
     columns = (partition.ps_array(), partition.ips_array())
-    return _assemble(x, px, columns, bi, mi, pm_idx, pm_mal)
-
-
-def _assemble(x, px, columns, rows_b, rows_m2, rows_p, rows_m3) -> LossBatch:
-    """Stack the four row groups of a :class:`LossBatch` for both encoders.
-
-    *rows_p* index the pseudo matrix *px*, the other groups index *x*, and
-    *columns* holds the PS and the IPS column indices.
-    """
-    groups = (x[rows_b], x[rows_m2], px[rows_p], x[rows_m3])
-    ps_inputs, ips_inputs = (np.vstack([_restrict(g, cols) for g in groups]) for cols in columns)
-    return LossBatch(ps_inputs, ips_inputs, len(rows_b), len(rows_p))
+    for bi, pm in enumerate(pm_chunks):
+        rows = order[bi * batch_size : (bi + 1) * batch_size]
+        groups = (x[benign_pos[rows]], x[partners[rows]], px[pm_pseudo[pm]], x[source_rows[pm]])
+        ps_inputs, ips_inputs = (
+            np.vstack([np.asarray(g[:, cols].todense(), dtype=np.float64) for g in groups])
+            for cols in columns
+        )
+        yield LossBatch(ps_inputs, ips_inputs, len(rows), len(pm))
 
 
 class CheckpointSeries:
@@ -346,57 +346,18 @@ def train(
     cfg: TrainConfig,
 ) -> CheckpointSeries:
     """Train the encoder pair, snapshotting both encoders after every epoch."""
-    if train_set.space.dim != partition.dim:
-        raise ValueError(
-            f"dataset dim {train_set.space.dim} != partition dim {partition.dim}"
-        )
-    benign_pos = train_set.label_positions(BENIGN)
-    mal_pos = train_set.label_positions(MALICIOUS)
-    if not len(benign_pos) or not len(mal_pos):
-        raise ValueError("training requires both benign and malicious samples")
-    if not pseudo:
-        raise ValueError("no pseudo-adversarial samples; generate them before training")
-    mal_by_id = {train_set.samples[int(i)].id: int(i) for i in mal_pos}
-    by_source: dict[str, list[int]] = {}
-    for i, p in enumerate(pseudo):
-        if p.source_id in mal_by_id:
-            by_source.setdefault(p.source_id, []).append(i)
-    if not by_source:
-        raise ValueError("no pseudo-adversarial sample matches a malicious training sample")
-    sources = sorted(by_source)
-    source_rows = np.asarray([mal_by_id[s] for s in sources], dtype=np.int64)
-
-    x = train_set.matrix()
-    px = vectors_matrix([p.vector for p in pseudo], partition.dim)
-    columns = (partition.ps_array(), partition.ips_array())
-
     root = np.random.SeedSequence(cfg.seed)
     init_ss, *epoch_ss = root.spawn(cfg.epochs + 1)
     pair = init_pair(partition, cfg, init_ss)
     opt = nnet.Adam(nnet.flat_params([pair.eps, pair.eips]), lr=cfg.lr)
 
-    nb_total = len(benign_pos)
-    n_batches = math.ceil(nb_total / cfg.batch_size)
     checkpoints = []
     epoch_losses = []
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(epoch_ss[epoch])
-        partners = mal_pos[rng.integers(0, len(mal_pos), size=nb_total)]
-        pm_pseudo = np.asarray(
-            [by_source[s][rng.integers(len(by_source[s]))] for s in sources], dtype=np.int64
-        )
-        order = rng.permutation(nb_total)
-        pm_chunks = np.array_split(rng.permutation(len(sources)), n_batches)
+    for ss in epoch_ss:
+        rng = np.random.default_rng(ss)
         losses = []
-        for bi in range(n_batches):
-            rows = order[bi * cfg.batch_size : (bi + 1) * cfg.batch_size]
-            pm = pm_chunks[bi]
-            batch = _assemble(
-                x, px, columns, benign_pos[rows], partners[rows], pm_pseudo[pm], source_rows[pm]
-            )
-            loss, _, grads = batch_loss(
-                pair, batch, cfg.margin, cfg.lambdas, cfg.dropout, rng
-            )
+        for batch in epoch_batches(train_set, pseudo, partition, cfg.batch_size, rng):
+            loss, _, grads = batch_loss(pair, batch, cfg.margin, cfg.lambdas, cfg.dropout, rng)
             opt.step(nnet.flat_params([pair.eps, pair.eips]), grads)
             losses.append(loss)
         checkpoints.append(pair.copy())

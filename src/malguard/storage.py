@@ -82,13 +82,15 @@ def load_json(path, decode):
 
 def from_fields(cls, doc):
     """``cls(**doc)`` for a JSON object holding exactly the fields of dataclass *cls*,
-    where a field annotated ``int`` holds an int and one annotated ``float`` a number."""
+    where a field annotated ``int`` holds an int, one annotated ``float`` a number
+    and one annotated ``float | None`` a number or null."""
     fields = dataclasses.fields(cls)
     if not isinstance(doc, dict) or doc.keys() != {f.name for f in fields}:
         raise ValueError(f"expected an object with the keys {sorted(f.name for f in fields)}")
     for f in fields:
-        kind = getattr(f.type, "__name__", f.type)  # a string under postponed annotations
-        allowed = {"int": (int,), "float": (int, float)}.get(kind)
+        kind = getattr(f.type, "__name__", str(f.type))  # a str for postponed or union types
+        allowed = {"int": (int,), "float": (int, float),
+                   "float | None": (int, float, type(None))}.get(kind)
         if allowed and type(doc[f.name]) not in allowed:
             raise ValueError(f"{f.name} must be of type {kind}, got {doc[f.name]!r}")
     return cls(**doc)

@@ -17,8 +17,8 @@ from malguard import pipeline, problem_space, quantify, storage, synthetic
 def test_criterion_01_loss_gradients_match_finite_differences(splits, pam, partition, announce):
     t0 = time.perf_counter()
     pair = encoders.init_pair(partition, encoders.TrainConfig(), np.random.SeedSequence(17))
-    batch = encoders.build_batch(splits[0], pam, partition, 16, 16, seed=19)
-    assert batch.ps_inputs.shape[0] == 64
+    batch = next(encoders.epoch_batches(splits[0], pam, partition, 32, np.random.default_rng(19)))
+    assert (batch.n_benign, batch.n_pm, batch.ps_inputs.shape[0]) == (32, 8, 80)
 
     _, _, grads = encoders.batch_loss(pair, batch, margin=1.0)
     params = nnet.flat_params([pair.eps, pair.eips])

@@ -386,6 +386,9 @@ def test_evaluate_defense_warns_once_without_false_negatives():
 @pytest.mark.filterwarnings("ignore:no false negatives")
 def test_evaluate_defense_all_failed_traces_have_undefined_ndasr():
     world = toy_evaluation_world()
-    failed = [replace(t, success=False) for t in world[0]]
-    rows = attacks.evaluate_defense(failed, bundles_at(world, (10.0, 5.0)))
-    assert [(r.asr_before, r.asr_after, r.ndasr) for r in rows] == [(0.0, 0.0, None)] * 2
+    bundles = bundles_at(world, (10.0, 5.0))
+    for change, want in (({"success": False}, (0.0, 0.0, None)),
+                         ({"eligible": False}, (None, None, None))):
+        changed = [replace(t, **change) for t in world[0]]
+        rows = attacks.evaluate_defense(changed, bundles)
+        assert [(r.asr_before, r.asr_after, r.ndasr) for r in rows] == [want] * 2

@@ -41,6 +41,7 @@ def test_percentile_threshold_frozen():
 def test_percentile_threshold_small_sets():
     assert percentile_threshold([7.0], 5.0) == 7.0
     assert percentile_threshold([1.0, 2.0], 50.0) == 1.0
+    assert percentile_threshold([3.0] * 40, 5.0) == 3.0  # constant scores
     with pytest.raises(CalibrationError):
         percentile_threshold([], 5.0)
     with pytest.raises(ValueError):

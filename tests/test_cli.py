@@ -484,28 +484,68 @@ def test_container_schemes_are_pinned(tmp_path):
         sorted(layers + ["meta.json"]), ["dims", "format", "kind"])
 
 
-def test_evaluate_all_failed_attack_reports_undefined_ndasr(run_dir, tmp_path, capsys):
-    run, config = run_dir
+def _rerecord(run, stage, name):
+    """Record the current digest of *name* as *stage*'s output, as if the stage wrote it."""
+    manifest = json.loads((run / cli.MANIFEST_FILE).read_text())
+    manifest["stages"][stage]["outputs"][name] = storage.file_sha256(run / name)
+    (run / cli.MANIFEST_FILE).write_text(json.dumps(manifest))
+
+
+def _evaluate_with_adaptive1_traces(run, config, tmp_path, capsys, **change):
+    """evaluate and report on a copy of *run* whose adaptive1 traces all get *change*;
+    returns the stored evaluation and the text rows of the adaptive1 table."""
     copy = tmp_path / "run"
     shutil.copytree(run, copy)
     space = data.load_feature_space(copy / cli.SPACE_FILE)
     name = "traces-adaptive1.jsonl"
-    failed = [replace(t, success=False)
-              for t in attacks.load_traces(copy / name, space.dim)]
-    attacks.save_traces(failed, copy / name)
-    manifest = json.loads((copy / cli.MANIFEST_FILE).read_text())
-    manifest["stages"]["attack-adaptive1"]["outputs"][name] = storage.file_sha256(copy / name)
-    (copy / cli.MANIFEST_FILE).write_text(json.dumps(manifest))
+    changed = [replace(t, **change) for t in attacks.load_traces(copy / name, space.dim)]
+    attacks.save_traces(changed, copy / name)
+    _rerecord(copy, "attack-adaptive1", name)
     for verb in ("evaluate", "report"):
         code = cli.main([verb, "--run-dir", str(copy), "--config", str(config)])
         assert code == 0, capsys.readouterr().err
     ev = json.loads((copy / cli.EVALUATION_JSON).read_text())
-    assert all(r["asr_before"] == 0.0 and r["ndasr"] is None
-               for r in ev["attacks"]["adaptive1"])
     assert all(r["ndasr"] is not None for r in ev["attacks"]["greedy"])
     table = (copy / cli.EVALUATION_TXT).read_text().split("attack: adaptive1\n")[1]
     rows = table.split("\n\n")[0].splitlines()[1:]
-    assert rows and all(row.split()[-1] == "-" for row in rows)
+    assert rows
+    return ev, rows
+
+
+def test_evaluate_all_failed_attack_reports_undefined_ndasr(run_dir, tmp_path, capsys):
+    ev, rows = _evaluate_with_adaptive1_traces(*run_dir, tmp_path, capsys, success=False)
+    assert all(r["asr_before"] == 0.0 and r["ndasr"] is None
+               for r in ev["attacks"]["adaptive1"])
+    assert all(row.split()[-1] == "-" for row in rows)
+
+
+def test_evaluate_all_ineligible_attack_reports_undefined_rates(run_dir, tmp_path, capsys):
+    ev, rows = _evaluate_with_adaptive1_traces(*run_dir, tmp_path, capsys, eligible=False)
+    assert all((r["asr_before"], r["asr_after"], r["ndasr"]) == (None, None, None)
+               for r in ev["attacks"]["adaptive1"])
+    assert all(row.split()[-3:] == ["-", "-", "-"] for row in rows)
+
+
+def test_detector_metrics_of_a_one_class_test_split_are_strict_json(run_dir, tmp_path,
+                                                                    capsys):
+    run, config = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    space = data.load_feature_space(copy / cli.SPACE_FILE)
+    test = data.read_dataset(copy / cli.TEST_FILE, space)
+    data.save_dataset(data.Dataset(space, tuple(test.by_label(data.BENIGN))),
+                      copy / cli.TEST_FILE)
+    _rerecord(copy, "split", cli.TEST_FILE)
+    for verb in ("train-detector", "report"):
+        code = cli.main([verb, "--run-dir", str(copy), "--config", str(config)])
+        assert code == 0, capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"not RFC 8259 JSON: {constant}")
+
+    metrics = json.loads((copy / cli.DETECTOR_METRICS_FILE).read_text(), parse_constant=reject)
+    assert metrics["auroc"] is None and metrics["tp"] + metrics["fn"] == 0
+    assert "detector: auroc - f1" in (copy / cli.REPORT_TXT).read_text()
 
 
 def test_verb_hashes_each_file_once_and_still_checks_inputs(run_dir, tmp_path, monkeypatch,

@@ -1,6 +1,9 @@
-"""Contrastive encoder pair: widths, losses, gradients, checkpoints."""
+"""Contrastive encoder pair: widths, losses, batches, gradients, checkpoints."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from malguard.data import (
@@ -29,11 +32,6 @@ def test_hidden_dims_validation():
         encoders.hidden_dims(32, 4, 0)
 
 
-def test_loss_benign_is_mean_distance():
-    assert encoders.loss_benign(np.array([0.0, 0.0])) == 0.0
-    assert encoders.loss_benign(np.array([1.0, 3.0])) == 2.0
-
-
 def test_rank_hinges_at_the_margin():
     hinge, active = encoders._rank_hinges(
         np.array([0.5, 2.0, 1.0]), np.array([2.0, 1.0, 2.0]), 1.0
@@ -43,11 +41,6 @@ def test_rank_hinges_at_the_margin():
     # carries no gradient
     assert hinge.tolist() == [0.0, 2.0, 0.0]
     assert active.tolist() == [False, True, False]
-
-
-def test_total_loss_weighted_sum():
-    assert encoders.total_loss(1.0, 2.0, 3.0) == 6.0
-    assert encoders.total_loss(1.0, 2.0, 3.0, lambdas=(2.0, 0.5, 1.0)) == 6.0
 
 
 def rigged_pair(part, b_ps, b_ips):
@@ -61,6 +54,28 @@ def rigged_pair(part, b_ps, b_ips):
             b[:] = 0.0
         mlp.biases[-1][:] = bias
     return pair
+
+
+def test_batch_loss_is_the_weighted_sum_of_mean_terms():
+    # eps maps PS feature 0 to the embedding (2 * x0, 0) and eips maps every
+    # row to 0, so a row's distance is 2 * x0
+    part = SpacePartition.from_ps([0, 1], 4)
+    pair = rigged_pair(part, np.zeros(2), np.zeros(2))
+    pair.eps.weights[0][0, 0] = 1.0
+    pair.eps.weights[1][0, 0] = 2.0
+    x0 = np.array([0.0, 1.0,  # benign: distances 0 and 2
+                   1.0, 1.0,  # their malicious partners: 2 and 2
+                   0.0,       # a pseudo row: 0
+                   1.0])      # its source: 2
+    ps = np.column_stack([x0, np.zeros(6)])
+    lambdas = (2.0, 0.5, 1.0)
+    # l1 = mean(0, 2); l2 = mean(hinge(0, 2), hinge(2, 2)); l3 = hinge(2, 0)
+    for n_pm, want in ((1, (1.0, 0.5, 3.0)), (0, (1.0, 0.5, 0.0))):
+        rows = 4 + 2 * n_pm
+        batch = encoders.LossBatch(ps[:rows], np.zeros((rows, 2)), 2, n_pm)
+        loss, parts, _ = encoders.batch_loss(pair, batch, 1.0, lambdas, want_grads=False)
+        assert parts == want
+        assert loss == 2.0 * want[0] + 0.5 * want[1] + 1.0 * want[2]
 
 
 def test_incompatibility_is_embedding_distance():
@@ -103,7 +118,7 @@ def test_scores_are_batch_invariant():
     full = encoders.batch_scores(pair, part, x)
     perm = rng.permutation(len(vectors))
     assert np.array_equal(encoders.batch_scores(pair, part, x[perm]), full[perm])
-    for size in (1, 5, 8, 9, 23):
+    for size in (1, 5, 8, 9, 23, 0):
         rows = np.sort(rng.choice(len(vectors), size=size, replace=False))
         assert np.array_equal(encoders.batch_scores(pair, part, x[rows]), full[rows])
     singles = [encoders.incompatibility_score(pair, part, v) for v in vectors]
@@ -169,11 +184,79 @@ def tiny_setup(seed=0):
     return ds, part, pam
 
 
+def sampler_world(is_mal, variants):
+    """A dataset whose rows all differ, and pseudo rows for its malicious rows.
+
+    PS is features 0-2 and IPS features 3-9. Bits 3-8 spell a row's position
+    and bit 9 marks it malicious. Variant j of a source sets PS bits to j + 1,
+    so every pseudo row differs from every row and keeps its source's IPS
+    half. A pseudo row of an id outside the dataset is never a source's.
+    """
+    dim = 10
+    part = SpacePartition.from_ps([0, 1, 2], dim)
+    space = FeatureSpace(tuple(f"f{i}" for i in range(dim)))
+
+    def ips_bits(pos, mal):
+        return [3 + b for b in range(6) if pos >> b & 1] + ([9] if mal else [])
+
+    samples = tuple(
+        Sample(f"s{i}", FeatureVector.make(ips_bits(i, mal), dim), MALICIOUS if mal else BENIGN, i)
+        for i, mal in enumerate(is_mal)
+    )
+    sources = [s for s in samples if s.label == MALICIOUS] + [
+        Sample("ghost", FeatureVector.make(ips_bits(63, True), dim), MALICIOUS, 63)]
+    pam = [
+        pseudo.PseudoAdvSample(
+            s.id, FeatureVector.make([b for b in range(3) if (j + 1) >> b & 1]
+                                     + list(s.vector.indices), dim), 1)
+        for s, n in zip(sources, [*variants, 1]) for j in range(n)
+    ]
+    return Dataset(space, samples), part, pam
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_epoch_batches_cover_each_row_once_with_its_own_partners(data):
+    n_benign = data.draw(st.integers(1, 20))
+    variants = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    is_mal = data.draw(st.permutations([False] * n_benign + [True] * len(variants)))
+    batch_size = data.draw(st.integers(1, n_benign + 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ds, part, pam = sampler_world(is_mal, variants)
+    if not any(variants):
+        with pytest.raises(ValueError, match="matches a malicious"):
+            next(encoders.epoch_batches(ds, pam, part, batch_size, rng))
+        return
+    batches = list(encoders.epoch_batches(ds, pam, part, batch_size, rng))
+    assert len(batches) == math.ceil(n_benign / batch_size)
+    benign, partners, pseudo_rows, sources = [], [], [], []
+    for b in batches:
+        nb, npm = b.n_benign, b.n_pm
+        assert b.ps_inputs.shape[0] == b.ips_inputs.shape[0] == 2 * nb + 2 * npm
+        # each pseudo row's IPS half is its source's
+        assert np.array_equal(b.ips_inputs[2 * nb : 2 * nb + npm], b.ips_inputs[2 * nb + npm :])
+        full = np.zeros((len(b.ps_inputs), part.dim))
+        full[:, part.ps_array()] = b.ps_inputs
+        full[:, part.ips_array()] = b.ips_inputs
+        rows = [tuple(np.flatnonzero(r).tolist()) for r in full]
+        benign += rows[:nb]
+        partners += rows[nb : 2 * nb]
+        pseudo_rows += rows[2 * nb : 2 * nb + npm]
+        sources += rows[2 * nb + npm :]
+    assert sorted(benign) == sorted(s.vector.indices for s in ds.by_label(BENIGN))
+    assert set(partners) <= {s.vector.indices for s in ds.by_label(MALICIOUS)}
+    own = {s.vector.indices: {p.vector.indices for p in pam if p.source_id == s.id}
+           for s in ds.by_label(MALICIOUS)}
+    assert sorted(sources) == sorted(v for v, mine in own.items() if mine)
+    assert all(p in own[s] for p, s in zip(pseudo_rows, sources))
+
+
 def test_batch_loss_gradients_match_finite_differences():
     ds, part, pam = tiny_setup()
     cfg = TrainConfig(embed_dim=4, width_factor=2, max_hidden=8)
     pair = encoders.init_pair(part, cfg, np.random.SeedSequence(1))
-    batch = encoders.build_batch(ds, pam, part, n_benign=8, n_pm=4, seed=2)
+    batch = next(encoders.epoch_batches(ds, pam, part, 8, np.random.default_rng(2)))
+    assert (batch.n_benign, batch.n_pm) == (8, 3)
     loss, _, grads = encoders.batch_loss(pair, batch, margin=1.0)
     params = nnet.flat_params([pair.eps, pair.eips])
     rng = np.random.default_rng(5)

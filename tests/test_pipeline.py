@@ -78,9 +78,10 @@ def test_build_produces_consistent_bundle(built):
 
 def test_detect_never_downgrades_malicious(built):
     ds, train, calib, detector, perts, apps, bundle = built
-    for s in ds.samples:
-        label, audit = pipeline.detect(bundle, detector, s.vector)
-        if detector.is_malicious(s.vector):
+    empty = FeatureVector.make([], ds.space.dim)
+    for vector in [s.vector for s in ds.samples] + [empty]:
+        label, audit = pipeline.detect(bundle, detector, vector)
+        if detector.is_malicious(vector):
             assert label == MALICIOUS
             assert not audit.revisited
             assert audit.score is None
@@ -96,6 +97,7 @@ def test_detect_never_downgrades_malicious(built):
 
 def test_defended_run_matches_per_vector_path(built):
     ds, train, calib, detector, perts, apps, bundle = built
+    assert pipeline.defended_run(bundle, detector, ds.subset([])) == []
     records = pipeline.defended_run(bundle, detector, ds)
     assert len(records) == len(ds)
     for s, rec in zip(ds.samples, records):

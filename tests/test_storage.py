@@ -1,4 +1,5 @@
 """Deterministic containers and seed fan-out."""
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,16 +62,21 @@ class _Doc:
     count: int
     rate: float
     names: list
+    score: float | None
 
 
 def test_load_json_checks_fields_and_names_the_file(tmp_path):
     p = tmp_path / "doc.json"
-    p.write_text('{"count": 2, "rate": 1, "names": ["a"]}')
-    assert storage.load_json(p, lambda doc: storage.from_fields(_Doc, doc)) == _Doc(2, 1, ["a"])
-    for bad in (b"[1]", b"{}", b'{"count": 2.0, "rate": 1, "names": []}',
-                b'{"count": true, "rate": 1, "names": []}',
-                b'{"count": 2, "rate": "1", "names": []}',
-                b'{"count": 2, "rate": 1, "names": [], "extra": 0}', b"{", b"\xff"):
+    for score in (None, 0.5):
+        p.write_text(json.dumps({"count": 2, "rate": 1, "names": ["a"], "score": score}))
+        want = _Doc(2, 1, ["a"], score)
+        assert storage.load_json(p, lambda doc: storage.from_fields(_Doc, doc)) == want
+    for bad in (b"[1]", b"{}", b'{"count": 2.0, "rate": 1, "names": [], "score": null}',
+                b'{"count": true, "rate": 1, "names": [], "score": null}',
+                b'{"count": 2, "rate": "1", "names": [], "score": null}',
+                b'{"count": 2, "rate": 1, "names": [], "score": "1"}',
+                b'{"count": 2, "rate": 1, "names": [], "score": null, "extra": 0}',
+                b"{", b"\xff"):
         p.write_bytes(bad)
         with pytest.raises(storage.FormatError, match=f"^{p}: malformed document: "):
             storage.load_json(p, lambda doc: storage.from_fields(_Doc, doc))
