@@ -16,6 +16,12 @@ is the one sampler of these batches: it resamples the partners uniformly
 every epoch from a seed-deterministic stream, and :func:`train` keeps one
 checkpoint per epoch so threshold calibration can pick the best one later.
 
+Scoring has one kernel with two entries: :func:`batch_scores` for a CSR
+batch and :func:`incompatibility_score` for one vector. A row's score
+depends on that row alone, so :func:`batch_scores` cuts a large batch into
+row chunks and scores them on every usable CPU; the scores are the same
+bits on one CPU or many.
+
 Hidden widths follow a geometric schedule: starting from embed_dim * width,
 widths grow by the width factor until the cap is reached, and are used
 widest-first. Dropout applies to hidden activations during training only.
@@ -23,8 +29,13 @@ widest-first. Dropout applies to hidden activations during training only.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import queue
 from collections.abc import Iterator
+from concurrent import futures
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -86,6 +97,8 @@ class TrainConfig:
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if len(self.lambdas) != 3:
@@ -129,12 +142,75 @@ def batch_scores(pair: EncoderPair, partition: SpacePartition, x: sparse.spmatri
 
     The batch entry of the score kernel. Each row's score is bit-identical
     however the batch around it is composed, and equal to
-    :func:`incompatibility_score` of that row (see :func:`nnet.infer`).
+    :func:`incompatibility_score` of that row (see :func:`nnet.infer`). So a
+    batch of :data:`_CHUNK_ROWS` rows or more is cut into contiguous row
+    chunks, scored on every usable CPU and put back in row order, with the
+    same bits as one serial pass.
     """
     if x.shape[1] != partition.dim:
         raise ValueError(f"matrix dim {x.shape[1]} != partition dim {partition.dim}")
+    x = x.tocsr()
+    bounds = _chunk_bounds(x.shape[0])
+    if len(bounds) <= 2:
+        return _chunk_scores(pair, partition, x)
+    chunks = [x[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return np.concatenate(_run_chunks(functools.partial(_chunk_scores, pair, partition), chunks))
+
+
+def _chunk_scores(pair: EncoderPair, partition: SpacePartition, x) -> np.ndarray:
     ps_part, ips_part = partition.split(x)
     return _distances(nnet.infer(pair.eps, ps_part), nnet.infer(pair.eips, ips_part))
+
+
+# Worker threads of batch_scores: scipy's CSR product and the BLAS calls of
+# nnet.infer release the GIL, so chunks of one batch run on separate CPUs.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# Most rows in one chunk. Below it a batch stays serial, where a split
+# costs more CPU than it saves in wall time.
+_CHUNK_ROWS = 256
+
+
+def _chunk_bounds(rows: int) -> list[int]:
+    """Row bounds of a batch's chunks: whole INFER_BLOCKs, spread evenly over
+    a multiple of _WORKERS chunks of at most _CHUNK_ROWS rows."""
+    if _WORKERS < 2 or rows < _CHUNK_ROWS:
+        return [0, rows]
+    blocks = -(-rows // nnet.INFER_BLOCK)
+    chunks = -(-rows // _CHUNK_ROWS)
+    chunks = min(chunks + -chunks % _WORKERS, blocks)
+    return [i * blocks // chunks * nnet.INFER_BLOCK for i in range(chunks)] + [rows]
+
+
+@functools.cache
+def _pool(helpers: int) -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(helpers, thread_name_prefix="malguard-scores")
+
+
+def _run_chunks(score, chunks: list) -> list[np.ndarray]:
+    """``[score(c) for c in chunks]``; the caller and _WORKERS - 1 helpers take chunks in turn."""
+    results = [None] * len(chunks)
+    todo = queue.SimpleQueue()
+    for i in range(len(chunks)):
+        todo.put(i)
+
+    def drain():
+        with contextlib.suppress(queue.Empty):
+            while True:
+                i = todo.get_nowait()
+                results[i] = score(chunks[i])
+
+    helpers = [_pool(_WORKERS - 1).submit(drain) for _ in range(_WORKERS - 1)]
+    try:
+        drain()
+    finally:
+        # Helpers that have not started are cancelled, the others awaited, so
+        # no chunk is still running when this returns or raises.
+        started = [h for h in helpers if not h.cancel()]
+        futures.wait(started)
+    for h in started:
+        h.result()
+    return results
 
 
 def incompatibility_score(

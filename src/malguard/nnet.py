@@ -7,7 +7,11 @@ All math is float64 so gradient checks and bit-exact round-trips hold.
 
 Inference over sparse 0/1 inputs goes through :func:`infer` for a batch and
 :func:`infer_row` for one row. A row's output depends on that row alone,
-never on the rest of the batch, and both entries give it bit for bit.
+never on the rest of the batch, and both entries give it bit for bit. So a
+caller may cut a batch into row chunks and run them on as many threads as
+it likes (``encoders.batch_scores`` does): the bits do not depend on the
+cut or on the CPU count. The scipy CSR product and the stacked BLAS calls
+of the later layers release the GIL.
 """
 
 from __future__ import annotations
@@ -125,21 +129,38 @@ def infer_row(mlp: Mlp, cols: np.ndarray) -> np.ndarray:
 
 
 def _infer_tail(mlp: Mlp, h: np.ndarray) -> np.ndarray:
-    """Layer 0's bias and the later layers, in zero-padded INFER_BLOCK-row blocks."""
+    """Layer 0's bias and the later layers, in zero-padded INFER_BLOCK-row blocks.
+
+    The full blocks are a view of *h*; only the last partial block is padded.
+    Each layer is one stacked matmul, which numpy runs as one BLAS call per
+    block, so every row sees the same block shape whatever the batch size.
+    """
     h += mlp.biases[0]
     if len(mlp.weights) == 1:
         return h
     np.maximum(h, 0.0, out=h)
-    tail = Mlp(mlp.dims[1:], mlp.weights[1:], mlp.biases[1:])
-    out = np.empty((len(h), mlp.dims[-1]))
-    for lo in range(0, len(h), INFER_BLOCK):
-        block = h[lo : lo + INFER_BLOCK]
-        rows = len(block)
-        if rows < INFER_BLOCK:
-            block = np.zeros((INFER_BLOCK, h.shape[1]))
-            block[:rows] = h[lo:]
-        out[lo : lo + rows] = forward(tail, block)[0][:rows]
+    rows, width = h.shape
+    full = rows - rows % INFER_BLOCK
+    out = np.empty((rows, mlp.dims[-1]))
+    if full:
+        blocks = h[:full].reshape(full // INFER_BLOCK, INFER_BLOCK, width)
+        out[:full] = _stacked_layers(mlp, blocks).reshape(full, -1)
+    if full < rows:
+        last = np.zeros((1, INFER_BLOCK, width))
+        last[0, : rows - full] = h[full:]
+        out[full:] = _stacked_layers(mlp, last)[0, : rows - full]
     return out
+
+
+def _stacked_layers(mlp: Mlp, a: np.ndarray) -> np.ndarray:
+    """Layers 1 and up of *mlp* on a (blocks, INFER_BLOCK, width) stack of rows."""
+    last = len(mlp.weights) - 1
+    for li in range(1, last + 1):
+        a = a @ mlp.weights[li]
+        a += mlp.biases[li]
+        if li < last:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def backward(mlp: Mlp, cache, grad_out: np.ndarray):

@@ -325,6 +325,46 @@ def test_evaluate_scores_each_checkpoint_once_per_verb(run_dir, tmp_path, monkey
         assert sorted(scored) == expected, verb
 
 
+def test_calibrate_and_defend_bytes_do_not_depend_on_the_worker_count(run_dir, tmp_path,
+                                                                     monkeypatch):
+    run, config = run_dir
+    chunked = []
+    real = encoders._run_chunks
+    monkeypatch.setattr(encoders, "_run_chunks",
+                        lambda score, chunks: chunked.append(len(chunks)) or real(score, chunks))
+    outputs = []
+    for workers, rows in ((1, encoders._CHUNK_ROWS), (3, 8)):
+        monkeypatch.setattr(encoders, "_WORKERS", workers)
+        monkeypatch.setattr(encoders, "_CHUNK_ROWS", rows)
+        copy = tmp_path / f"run-{workers}"
+        shutil.copytree(run, copy)
+        common = ["--run-dir", str(copy), "--config", str(config)]
+        assert cli.main(["calibrate", *common]) == 0
+        assert cli.main(["defend", *common, "--vectors", str(copy / cli.TEST_FILE)]) == 0
+        outputs.append([(copy / name).read_bytes()
+                        for name in (cli.CALIBRATION_FILE, cli.DEFEND_RESULTS_FILE)])
+        if workers == 1:
+            assert not chunked
+    assert chunked and min(chunked) > 1
+    assert outputs[0] == outputs[1]
+
+
+def test_train_encoders_rejects_a_batch_size_below_one(run_dir, tmp_path, capsys):
+    run, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    series = (copy / cli.ENCODERS_FILE).read_bytes()
+    for size in (0, -2):
+        config = tmp_path / f"batch-{size}.json"
+        config.write_text(json.dumps({**TINY, "encoders": {**TINY["encoders"],
+                                                           "batch_size": size}}))
+        code = cli.main(["train-encoders", "--run-dir", str(copy), "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error [train-encoders]: batch_size must be >= 1, got {size}" in err
+    assert (copy / cli.ENCODERS_FILE).read_bytes() == series
+
+
 def test_cli_defaults_match_library_defaults():
     def defaults(config):
         doc = asdict(config)

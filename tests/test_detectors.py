@@ -98,6 +98,12 @@ def test_mlp_scores_are_batch_invariant():
     rows = np.sort(rng.choice(len(vectors), size=11, replace=False))
     assert np.array_equal(model.decision_scores(x[rows]), full[rows])
     assert [model.score_vector(v) for v in vectors] == full.tolist()
+    # An eight-unit hidden layer, whose tail is a product with one output column.
+    model = detectors.MlpModel(nnet.init_mlp([dim, 8, 1], np.random.default_rng(6)))
+    full = model.decision_scores(x)
+    assert np.array_equal(model.decision_scores(x[perm]), full[perm])
+    assert np.array_equal(model.decision_scores(x[rows]), full[rows])
+    assert [model.score_vector(v) for v in vectors] == full.tolist()
     # A logistic model (no hidden layer) and a one-unit first hidden layer,
     # where numpy would sum a vector's weights pairwise from eight features
     # on. Layer-0 weights of widely spread magnitudes make a reordering

@@ -125,6 +125,48 @@ def test_scores_are_batch_invariant():
     assert singles == full.tolist()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunked_scores_equal_serial_scores(monkeypatch, workers):
+    dim = 400
+    part = SpacePartition.from_ps(range(0, dim, 7), dim)
+    pair = encoders.init_pair(part, TrainConfig(), np.random.SeedSequence(4))
+    rng = np.random.default_rng(3)
+    vectors = [
+        FeatureVector.make(rng.choice(dim, size=rng.integers(0, 60), replace=False), dim)
+        for _ in range(513)
+    ]
+    x = vectors_matrix(vectors, dim)
+    singles = [encoders.incompatibility_score(pair, part, v) for v in vectors]
+    monkeypatch.setattr(encoders, "_WORKERS", 1)
+    serial = encoders.batch_scores(pair, part, x)
+    monkeypatch.setattr(encoders, "_WORKERS", workers)
+    for size in (256, 2000, 5200, 20000):  # chunks at the real chunk size
+        chunks = np.diff(encoders._chunk_bounds(size))
+        assert len(chunks) % workers == 0 and chunks.max() <= (256 if workers > 1 else size)
+        assert not (chunks[:-1] % nnet.INFER_BLOCK).any()
+        assert chunks.max() - chunks.min() < 2 * nnet.INFER_BLOCK
+    monkeypatch.setattr(encoders, "_CHUNK_ROWS", 8)
+    for size in (0, 1, 7, 8, 9, 255, 256, 257, 513):
+        bounds = encoders._chunk_bounds(size)
+        assert not (np.array(bounds[:-1]) % nnet.INFER_BLOCK).any()
+        assert (len(bounds) > 2) == (workers > 1 and size > nnet.INFER_BLOCK)
+        chunked = encoders.batch_scores(pair, part, x[:size])
+        assert np.array_equal(chunked, serial[:size]), size
+        assert chunked.tolist() == singles[:size]
+    # a pair built for another partition fails inside every chunk, as it does serially
+    other = encoders.init_pair(SpacePartition.from_ps(range(0, dim, 5), dim),
+                               TrainConfig(embed_dim=4, width_factor=2, max_hidden=8),
+                               np.random.SeedSequence(1))
+    errors = []
+    for w, rows in ((1, 10**9), (workers, 8)):
+        monkeypatch.setattr(encoders, "_WORKERS", w)
+        monkeypatch.setattr(encoders, "_CHUNK_ROWS", rows)
+        with pytest.raises(ValueError) as err:
+            encoders.batch_scores(other, part, x[:257])
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 def test_one_vector_scores_build_no_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a one-vector score went through the batch path")
@@ -336,6 +378,9 @@ def test_series_round_trip_bytes_with_integer_dropout(tmp_path):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TrainConfig(batch_size=size)
     with pytest.raises(ValueError):
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError):

@@ -129,8 +129,12 @@ def test_infer_row_equals_infer_of_each_batch_row():
     one_unit = [nnet.init_mlp(dims, rng) for dims in ([40, 1], [40, 1, 1])]
     for net in one_unit:
         net.weights[0] *= 10.0 ** rng.uniform(-8, 8, size=(40, 1))
-    for net in [mlp, *one_unit]:
-        batch = nnet.infer(net, x)
-        for i in range(x.shape[0]):
-            row = nnet.infer_row(net, x[i].indices)
-            assert row.shape == (1, net.dims[-1]) and np.array_equal(row[0], batch[i])
+    # Batches of 9 and 17 rows end in a partial block after one and two full
+    # ones; each ends with the every-feature row.
+    for net in [mlp, *one_unit, nnet.init_mlp([40, 8, 1], rng)]:
+        for size in (9, 17, x.shape[0]):
+            part = x[x.shape[0] - size :]
+            batch = nnet.infer(net, part)
+            for i in range(size):
+                row = nnet.infer_row(net, part[i].indices)
+                assert row.shape == (1, net.dims[-1]) and np.array_equal(row[0], batch[i])
