@@ -47,7 +47,7 @@ bundle = bundles[5.0]
 sub = tps[:50]
 a1 = sum(attacks.adaptive_attack_1(s, bundle, det, perts, part, acfg).success for s in sub)
 a2cfg = attacks.AttackConfig(query_budget=10, variant_count=10, seed=21)
-a2 = sum(attacks.adaptive_attack_2(s, det, bundle, perts, part, a2cfg).success for s in sub)
+a2 = sum(attacks.adaptive_attack_2(s, bundle, det, perts, part, a2cfg).success for s in sub)
 print(f"adaptive (label-only pipeline oracle): {a1}/{len(sub)} evade")
 print(f"adaptive (best of 10 detector variants): {a2}/{len(sub)} evade")
 

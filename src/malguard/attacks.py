@@ -93,7 +93,11 @@ def greedy_attack(
     partition: SpacePartition,
     cfg: AttackConfig,
 ) -> AttackTrace:
-    """Evade the oracle by cumulative perturbation under a strict query budget."""
+    """Evade the oracle by cumulative perturbation under a strict query budget.
+
+    A sample that no perturbation both applies to and changes is ineligible:
+    its trace is a failure with no query and no perturbation applied.
+    """
     ps = set(partition.ps)
     for p in perturbations:
         if p.adds - ps:
@@ -158,8 +162,8 @@ def adaptive_attack_1(
 
 def adaptive_attack_2(
     x_m: Sample,
-    detector,
     bundle,
+    detector,
     perturbations: list[Perturbation],
     partition: SpacePartition,
     cfg: AttackConfig,
@@ -206,13 +210,7 @@ def attack_suite(
     cfg: AttackConfig,
 ) -> list[AttackTrace]:
     """Greedy-attack every sample; ineligible samples get an empty failed trace."""
-    traces = []
-    for s in samples:
-        if has_applicable(s.vector, perturbations):
-            traces.append(greedy_attack(s, oracle, perturbations, partition, cfg))
-        else:
-            traces.append(AttackTrace(s.id, False, 0, s.vector, (), eligible=False))
-    return traces
+    return [greedy_attack(s, oracle, perturbations, partition, cfg) for s in samples]
 
 
 def offline_defense_rates(traces: list[AttackTrace], bundle) -> tuple[float, float]:

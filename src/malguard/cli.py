@@ -440,19 +440,9 @@ def cmd_attack(args) -> int:
         traces = attacks.attack_suite(samples, oracle, perts, partition, acfg)
     else:
         bundle = pipeline.load_bundle(artifact(run, BUNDLE_FILE))
-        traces = []
-        for s in samples:
-            if not attacks.has_applicable(s.vector, perts):
-                traces.append(attacks.AttackTrace(s.id, False, 0, s.vector, (),
-                                                  eligible=False))
-            elif args.mode == "adaptive1":
-                traces.append(
-                    attacks.adaptive_attack_1(s, bundle, detector, perts, partition, acfg)
-                )
-            else:
-                traces.append(
-                    attacks.adaptive_attack_2(s, detector, bundle, perts, partition, acfg)
-                )
+        attack = (attacks.adaptive_attack_1 if args.mode == "adaptive1"
+                  else attacks.adaptive_attack_2)
+        traces = [attack(s, bundle, detector, perts, partition, acfg) for s in samples]
     out = _traces_file(args.mode)
     attacks.save_traces(traces, run / out)
     eligible = [t for t in traces if t.eligible]

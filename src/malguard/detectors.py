@@ -43,10 +43,6 @@ class LinearModel:
         )
 
     @property
-    def input_dim(self) -> int:
-        return int(self.weights.shape[0])
-
-    @property
     def decision_threshold(self) -> float:
         return 0.0
 
@@ -86,10 +82,6 @@ class MlpModel:
         return storage.sha256_hex(b"".join(parts))
 
     @property
-    def input_dim(self) -> int:
-        return int(self.net.dims[0])
-
-    @property
     def decision_threshold(self) -> float:
         return 0.5
 
@@ -113,7 +105,10 @@ def _signed_labels(dataset: Dataset) -> np.ndarray:
     )
 
 
-def _check_trainable(dataset: Dataset) -> None:
+def _check_trainable(dataset: Dataset, epochs: int, batch_size: int) -> None:
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     labels = {s.label for s in dataset.samples}
@@ -130,7 +125,7 @@ def train_linear(
     seed: int = 0,
 ) -> LinearModel:
     """Subgradient descent on mean hinge loss + l2*||w||^2, step size decaying 1/(1+epoch)."""
-    _check_trainable(dataset)
+    _check_trainable(dataset, epochs, batch_size)
     x = dataset.matrix()
     y = _signed_labels(dataset)
     n, dim = x.shape
@@ -165,7 +160,7 @@ def train_mlp(
     seed: int = 0,
 ) -> MlpModel:
     """Logistic loss, adaptive-moment updates; hidden=() degenerates to a logistic model."""
-    _check_trainable(dataset)
+    _check_trainable(dataset, epochs, batch_size)
     x = dataset.matrix()
     y01 = (_signed_labels(dataset) > 0).astype(np.float64)
     n, dim = x.shape

@@ -54,10 +54,6 @@ class DefenseBundle:
     calibration: calibration.CalibrationResult
     metadata: dict
 
-    @property
-    def partition_digest(self) -> str:
-        return self.partition.digest()
-
     def flags(self, score):
         """The one-way rule: a revisited score flags when strictly above the threshold."""
         return score > self.threshold
@@ -197,7 +193,7 @@ def save_bundle(bundle: DefenseBundle, path) -> None:
         **pair_meta,
         "threshold": bundle.threshold,
         "detector_id": bundle.detector_id,
-        "partition_digest": bundle.partition_digest,
+        "partition_digest": bundle.partition.digest(),
         "dim": bundle.partition.dim,
         "calibration": bundle.calibration.to_dict(),
         "metadata": bundle.metadata,

@@ -1,10 +1,10 @@
-"""Additive perturbations and the app models they act on.
+"""Additive perturbations and the probe apps they are replayed against.
 
 A perturbation names the feature indices it switches on (``adds``) plus an
 applicability predicate: every index in ``requires`` must already be active
 and every index in ``forbids`` must be absent. Applying a perturbation never
-removes features, so feature growth is monotone and application of the same
-perturbation is idempotent.
+removes features, so an app's features after it are its features before
+plus ``adds``. An app is therefore just its set of active feature indices.
 
 Perturbation-set files are :mod:`malguard.data` record files with keys id,
 kind, adds, requires, forbids.
@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from malguard.data import FeatureVector, FormatError, int_list, read_records, write_records
-
-
-class InapplicableError(ValueError):
-    """Raised when a perturbation's applicability predicate is not met."""
+from malguard.data import FormatError, int_list, read_records, write_records
 
 
 @dataclass(frozen=True)
@@ -45,52 +41,17 @@ class Perturbation:
         return self.requires <= active and not (self.forbids & active)
 
 
-@dataclass(frozen=True)
-class AppModel:
-    """An app as a base feature set plus the perturbations applied to it."""
+def builtin_quantification_apps(dim: int, main_activity: int) -> list[frozenset[int]]:
+    """The active feature sets of the two built-in probe apps of quantification.
 
-    base: FeatureVector
-    dim: int
-    applied: tuple[Perturbation, ...] = ()
-
-    def effective(self) -> frozenset[int]:
-        active = set(self.base.indices)
-        for p in self.applied:
-            active |= p.adds
-        return frozenset(active)
-
-
-def apply(app: AppModel, perturbation: Perturbation) -> AppModel:
-    """Apply a perturbation, returning a new app model; idempotent per id."""
-    active = app.effective()
-    if any(p.id == perturbation.id for p in app.applied):
-        return app
-    if not perturbation.applicable(active):
-        raise InapplicableError(
-            f"perturbation {perturbation.id!r} is not applicable"
-            f" (requires {sorted(perturbation.requires)}, forbids {sorted(perturbation.forbids)})"
-        )
-    if max(perturbation.adds, default=0) >= app.dim:
-        raise ValueError(
-            f"perturbation {perturbation.id!r} adds feature index >= dim {app.dim}"
-        )
-    return AppModel(app.base, app.dim, app.applied + (perturbation,))
-
-
-def builtin_quantification_apps(dim: int, main_activity: int) -> list[AppModel]:
-    """The two built-in probe apps used for space quantification.
-
-    One has an empty feature set; one carries only the designated
-    main-activity feature, so activity-requiring perturbations become
-    applicable to it. Neither base feature can ever appear in a measured
-    delta because deltas are computed against the probe's own baseline.
+    One is empty; the other holds only the designated main-activity feature,
+    so activity-requiring perturbations become applicable to it. Neither
+    probe's own feature can appear in a measured delta, because a delta
+    leaves out the features the probe already holds.
     """
     if not 0 <= main_activity < dim:
         raise ValueError(f"main-activity index {main_activity} out of range [0, {dim})")
-    return [
-        AppModel(FeatureVector.make((), dim), dim),
-        AppModel(FeatureVector.make((main_activity,), dim), dim),
-    ]
+    return [frozenset(), frozenset({main_activity})]
 
 
 def save_perturbations(perturbations, path) -> None:

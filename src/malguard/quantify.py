@@ -1,12 +1,12 @@
 """Empirical quantification of the perturbable feature space.
 
 Every (probe app, perturbation) pair where the perturbation applies
-contributes the feature delta between the app's vector before and after
-application. The union of those deltas is the perturbable space (PS); its
-complement is the imperturbable space (IPS). Inapplicable pairs are skipped,
-which is exactly why more than one probe app can be necessary: a
-perturbation requiring a feature absent from every probe would otherwise
-never reveal its delta.
+contributes the features the perturbation switches on that the probe app
+did not already hold. The union of those deltas is the perturbable space
+(PS); its complement is the imperturbable space (IPS). Inapplicable pairs
+are skipped, which is exactly why more than one probe app can be
+necessary: a perturbation requiring a feature absent from every probe would
+otherwise never reveal its delta.
 """
 
 from __future__ import annotations
@@ -98,24 +98,28 @@ class SpacePartition:
 
 def quantify(
     space: FeatureSpace,
-    quant_apps: list[problem_space.AppModel],
+    quant_apps: list[frozenset[int]],
     perturbations: list[problem_space.Perturbation],
 ) -> SpacePartition:
-    """Measure PS as the union of observed feature deltas over all probe apps."""
+    """Measure PS as the union of observed feature deltas over all probe apps.
+
+    Each probe app is its set of active feature indices. A perturbation only
+    adds features, so its delta on a probe is ``adds`` minus the probe.
+    """
     if not quant_apps:
         raise ValueError("at least one quantification app is required")
     dim = space.dim
     ps: set[int] = set()
-    for app in quant_apps:
-        if app.dim != dim:
-            raise ValueError(f"quantification app dim {app.dim} != space dim {dim}")
-        before = app.effective()
+    for probe in quant_apps:
+        if any(not 0 <= i < dim for i in probe):
+            raise ValueError(f"quantification app feature out of range [0, {dim})")
         for p in perturbations:
-            if not p.applicable(before):
-                log.debug("skipping inapplicable pair (app base %s, %s)", sorted(before), p.id)
+            if not p.applicable(probe):
+                log.debug("skipping inapplicable pair (app %s, %s)", sorted(probe), p.id)
                 continue
-            after = problem_space.apply(app, p).effective()
-            ps |= before.symmetric_difference(after)
+            if max(p.adds) >= dim:
+                raise ValueError(f"perturbation {p.id!r} adds feature index >= dim {dim}")
+            ps |= p.adds - probe
     return SpacePartition.from_ps(ps, dim)
 
 

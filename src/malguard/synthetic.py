@@ -244,7 +244,7 @@ def generate(cfg: GeneratorConfig) -> SyntheticBenchmark:
             samples.append(
                 Sample(
                     id=f"{tag}{i:05d}",
-                    vector=FeatureVector.make(np.flatnonzero(on), cfg.dim),
+                    vector=FeatureVector(tuple(np.flatnonzero(on).tolist())),
                     label=label,
                     ts=int(ts[pos]),
                 )

@@ -212,7 +212,7 @@ def test_criterion_06_adaptive_attacks_stay_below_asr_bound(
     sub = attack_targets[:100]
     hits1 = sum(attacks.adaptive_attack_1(s, bundle, detector, perts, partition, cfg).success
                 for s in sub)
-    hits2 = sum(attacks.adaptive_attack_2(s, detector, bundle, perts, partition, cfg).success
+    hits2 = sum(attacks.adaptive_attack_2(s, bundle, detector, perts, partition, cfg).success
                 for s in sub)
     asr1, asr2 = hits1 / len(sub), hits2 / len(sub)
     elapsed = time.perf_counter() - t0

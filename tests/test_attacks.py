@@ -146,15 +146,15 @@ def test_score_feedback_skips_regressions():
 
 def test_ineligible_sample_short_circuits():
     det = toy_detector()
+    part = toy_partition()
     gated = [pert("g", {4}, requires={1})]
     src = mal("m5", [0])  # lacks bit 1, so nothing applies
-    suite = attacks.attack_suite(
-        [src], attacks.detector_oracle(det), gated, toy_partition(), AttackConfig()
-    )
-    assert len(suite) == 1
-    assert not suite[0].eligible
-    assert suite[0].queries_used == 0
-    assert not suite[0].success
+    empty = AttackTrace("m5", False, 0, src.vector, (), eligible=False)
+    oracle, calls = counting(attacks.detector_oracle(det))
+    assert attacks.attack_suite([src], oracle, gated, part, AttackConfig()) == [empty]
+    assert calls == []
+    for attack in (attacks.adaptive_attack_1, attacks.adaptive_attack_2):
+        assert attack(src, tiny_bundle(det, part), det, gated, part, AttackConfig()) == empty
 
 
 def test_ndasr_frozen_values():
@@ -270,7 +270,7 @@ def test_adaptive_attack_2_totals_queries_and_picks_min_score():
     bundle = tiny_bundle(det, part, scale=0.0)  # scorer always 0 <= threshold
     src = mal("m7", [0])
     cfg = AttackConfig(query_budget=4, variant_count=3, seed=6)
-    trace = attacks.adaptive_attack_2(src, det, bundle, toy_perts(), part, cfg)
+    trace = attacks.adaptive_attack_2(src, bundle, det, toy_perts(), part, cfg)
     assert trace.queries_used <= 3 * 4
     singles = [
         attacks.greedy_attack(
@@ -293,7 +293,7 @@ def test_adaptive_attack_2_fails_when_defense_catches_all():
     bundle = tiny_bundle(det, part, scale=9.0)
     src = mal("m8", [0, 1])  # bit 1 makes every evader score sqrt(2)*9 > 1
     cfg = AttackConfig(query_budget=6, variant_count=2, seed=7)
-    trace = attacks.adaptive_attack_2(src, det, bundle, toy_perts(), part, cfg)
+    trace = attacks.adaptive_attack_2(src, bundle, det, toy_perts(), part, cfg)
     assert not trace.success
 
 

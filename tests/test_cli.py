@@ -365,6 +365,22 @@ def test_train_encoders_rejects_a_batch_size_below_one(run_dir, tmp_path, capsys
     assert (copy / cli.ENCODERS_FILE).read_bytes() == series
 
 
+def test_train_detector_rejects_epochs_or_a_batch_size_below_one(run_dir, tmp_path, capsys):
+    run, _ = run_dir
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / cli.DETECTOR_FILE).unlink()
+    config = tmp_path / "bad.json"
+    for kind in ("linear", "mlp"):
+        for key, value in (("epochs", 0), ("batch_size", 0), ("batch_size", -1)):
+            config.write_text(json.dumps({**TINY, "detector": {"kind": kind, key: value}}))
+            code = cli.main(["train-detector", "--run-dir", str(copy), "--config", str(config)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"error [train-detector]: {key} must be >= 1, got {value}" in err
+            assert not (copy / cli.DETECTOR_FILE).exists()
+
+
 def test_cli_defaults_match_library_defaults():
     def defaults(config):
         doc = asdict(config)

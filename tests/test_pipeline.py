@@ -6,7 +6,7 @@ from malguard.data import BENIGN, MALICIOUS, Dataset, FeatureSpace, FeatureVecto
 from malguard.detectors import LinearModel, train_linear
 from malguard import detectors, encoders, pipeline, pseudo
 from malguard.pipeline import BuildError, DefenseConfig
-from malguard.problem_space import AppModel, Perturbation
+from malguard.problem_space import Perturbation
 from malguard.quantify import SpacePartition
 
 
@@ -47,7 +47,7 @@ def planted_world(seed=0, n=240):
         Perturbation("p1", "inject", frozenset({3, 4, 5})),
         Perturbation("p2", "inject", frozenset({6, 7})),
     ]
-    apps = [AppModel(FeatureVector.make([], dim), dim)]
+    apps = [frozenset()]
     return ds, perts, apps
 
 

@@ -1,9 +1,9 @@
-"""Perturbation grammar semantics and the app transformation model."""
+"""Perturbation grammar semantics, the built-in probe apps and the grammar file."""
 import pytest
 
-from malguard.data import FeatureVector, FormatError
+from malguard.data import FormatError
 from malguard import problem_space
-from malguard.problem_space import AppModel, InapplicableError, Perturbation, apply
+from malguard.problem_space import Perturbation
 
 
 def pert(pid="p0", adds=(3,), requires=(), forbids=()):
@@ -34,42 +34,12 @@ def test_applicable_checks_requires_and_forbids():
     assert not p.applicable(frozenset({1, 2}))    # forbidden bit present
 
 
-def test_apply_adds_features():
-    app = AppModel(FeatureVector.make([0], 8), 8)
-    out = apply(app, pert(adds=(3, 4)))
-    assert out.effective() == frozenset({0, 3, 4})
-    assert tuple(p.id for p in out.applied) == ("p0",)
-    # base app is untouched
-    assert app.effective() == frozenset({0})
-
-
-def test_apply_is_idempotent_on_features():
-    app = AppModel(FeatureVector.make([0, 3], 8), 8)
-    out = apply(app, pert(adds=(3,)))
-    assert out.effective() == frozenset({0, 3})
-
-
-def test_apply_rejects_inapplicable():
-    app = AppModel(FeatureVector.make([2], 8), 8)
-    with pytest.raises(InapplicableError):
-        apply(app, pert(requires=(1,)))
-    with pytest.raises(InapplicableError):
-        apply(app, pert(forbids=(2,)))
-
-
-def test_effective_reflects_applied_stack():
-    app = AppModel(FeatureVector.make([1], 8), 8)
-    app = apply(app, pert("a", adds=(2,)))
-    app = apply(app, pert("b", adds=(5,), requires=(2,)))
-    assert app.effective() == frozenset({1, 2, 5})
-
-
 def test_builtin_quantification_apps():
     apps = problem_space.builtin_quantification_apps(16, main_activity=9)
-    assert len(apps) == 2
-    effectives = [a.effective() for a in apps]
-    assert frozenset() in effectives
-    assert frozenset({9}) in effectives
+    assert apps == [frozenset(), frozenset({9})]
+    for bad in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            problem_space.builtin_quantification_apps(16, main_activity=bad)
 
 
 def test_perturbations_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from malguard.data import FORMAT_HEADER, FeatureSpace, FeatureVector, FormatError, vectors_matrix
-from malguard.problem_space import AppModel, Perturbation
+from malguard.problem_space import Perturbation
 from malguard import quantify as q
 from malguard.quantify import SpacePartition, quantify
 
@@ -16,10 +16,6 @@ def space(dim=8):
 
 def pert(pid, adds, requires=(), forbids=()):
     return Perturbation(pid, "inject", frozenset(adds), frozenset(requires), frozenset(forbids))
-
-
-def empty_app(dim=8):
-    return AppModel(FeatureVector.make([], dim), dim)
 
 
 def test_partition_complement_invariant():
@@ -46,12 +42,12 @@ def test_partition_digest_tracks_content():
 
 def test_quantify_trivial_grammar():
     perts = [pert("a", {2}), pert("b", {5})]
-    part = quantify(space(), [empty_app()], perts)
+    part = quantify(space(), [frozenset()], perts)
     assert set(part.ps) == {2, 5}
 
 
 def test_quantify_no_perturbations_means_all_imperturbable():
-    part = quantify(space(), [empty_app()], [])
+    part = quantify(space(), [frozenset()], [])
     assert part.ps == ()
     assert len(part.ips) == 8
 
@@ -64,30 +60,36 @@ def test_quantify_requires_probe_app():
 def test_quantify_skips_inapplicable_pairs():
     # reachable only from an app that already has feature 0
     gated = pert("g", {4}, requires={0})
-    part = quantify(space(), [empty_app()], [gated])
+    part = quantify(space(), [frozenset()], [gated])
     assert part.ps == ()
-    rich = AppModel(FeatureVector.make([0], 8), 8)
-    part = quantify(space(), [empty_app(), rich], [gated])
+    rich = frozenset({0})
+    part = quantify(space(), [frozenset(), rich], [gated])
     assert set(part.ps) == {4}
 
 
 def test_quantify_union_over_apps():
     perts = [pert("a", {2}), pert("g", {6}, requires={1})]
-    apps = [empty_app(), AppModel(FeatureVector.make([1], 8), 8)]
+    apps = [frozenset(), frozenset({1})]
     part = quantify(space(), apps, perts)
     assert set(part.ps) == {2, 6}
 
 
 def test_quantify_delta_excludes_already_present_bits():
     # app already carries bit 3, so an add of {3, 4} only moves bit 4
-    app = AppModel(FeatureVector.make([3], 8), 8)
+    app = frozenset({3})
     part = quantify(space(), [app], [pert("a", {3, 4})])
     assert set(part.ps) == {4}
 
 
 def test_quantify_dim_mismatch():
-    with pytest.raises(ValueError):
-        quantify(space(8), [empty_app(dim=9)], [pert("a", {1})])
+    # a probe feature or a perturbation add outside [0, dim) is an error
+    for probe in ({8}, {-1}):
+        with pytest.raises(ValueError, match=r"out of range \[0, 8\)"):
+            quantify(space(8), [frozenset(probe)], [pert("a", {1})])
+    with pytest.raises(ValueError, match="perturbation 'a' adds feature index >= dim 8"):
+        quantify(space(8), [frozenset()], [pert("a", {1, 8})])
+    # an inapplicable perturbation is skipped before its adds are checked
+    assert quantify(space(8), [frozenset()], [pert("g", {9}, requires={0})]).ps == ()
 
 
 def test_partition_round_trip(tmp_path):
